@@ -28,22 +28,6 @@ void AddIndexStats(index::IndexStats* into, const index::IndexStats& s) {
 #undef SVR_INDEX_STATS_ADD
 }
 
-/// Placeholder for the non-pk, non-text columns of a reconstructed
-/// dead-slot row (see BuildCheckpointStatementsLocked — the row is
-/// deleted again before the checkpoint stream ends).
-relational::Value DefaultValueFor(relational::ValueType type) {
-  switch (type) {
-    case relational::ValueType::kInt64:
-      return relational::Value::Int(0);
-    case relational::ValueType::kDouble:
-      return relational::Value::Double(0.0);
-    case relational::ValueType::kString:
-      return relational::Value::String("");
-    default:
-      return relational::Value::Null();
-  }
-}
-
 /// Counters sum field-wise through the declaration macro; the non-macro
 /// fields keep their own aggregation (watermark max, flag or, time sum).
 void AddEngineStats(EngineStats* into, const EngineStats& s) {
@@ -100,9 +84,6 @@ Result<std::unique_ptr<ShardedSvrEngine>> ShardedSvrEngine::Open(
                    ? per_shard.commit_clock
                    : std::make_shared<concurrency::CommitClock>();
   per_shard.commit_clock = clock;
-  // Shards never run their own WAL — the sharded engine logs global-key
-  // statements itself, one segment per shard (docs/durability.md).
-  per_shard.durability = durability::DurabilityOptions{};
   // One registry for every shard: instruments resolve to the same named
   // objects, so per-shard counters/histograms aggregate and additive
   // gauges sum across shards. Periodic dumps are driven by this layer
@@ -149,6 +130,8 @@ void ShardedSvrEngine::InitTelemetry(const TelemetryOptions& topt) {
   tel_.gather_us = metrics_->GetHistogram("sharded.gather_us");
   tel_.join_us = metrics_->GetHistogram("sharded.join_us");
   tel_.query_total_us = metrics_->GetHistogram("sharded.query_total_us");
+  tel_.dml_wait_durable_us = metrics_->GetHistogram("dml.wait_durable_us");
+  tel_.checkpoint_us = metrics_->GetHistogram("checkpoint.duration_us");
   tel_.wal_fsync_us = metrics_->GetHistogram("wal.fsync_us");
   tel_.wal_batch_statements = metrics_->GetHistogram("wal.batch_statements");
   tel_.slow_queries = metrics_->GetCounter("sharded.query.slow");
@@ -327,6 +310,38 @@ int64_t ShardedSvrEngine::GlobalIdOf(uint32_t shard, DocId local) const {
   return local_to_global_[shard][local];
 }
 
+template <typename Exec>
+Status ShardedSvrEngine::ExecuteLogged(uint32_t s,
+                                       durability::StatementKind kind,
+                                       const std::string& table,
+                                       const relational::Row* row,
+                                       int64_t pk, Exec exec,
+                                       uint64_t* ticket) {
+  // Execution and log append under one lock: the shard's WAL file order
+  // equals its commit-timestamp order.
+  std::unique_lock<Mutex> log_lock(*shard_log_mu_[s]);
+  uint64_t ts = 0;
+  const Status st = exec(shards_[s].get(), &ts);
+  *ticket = 0;
+  if (st.ok() && logging_armed_) {
+    durability::WalStatement stmt;
+    stmt.kind = kind;
+    stmt.table = table;
+    if (row != nullptr) stmt.row = *row;
+    stmt.pk = pk;
+    *ticket = LogStatementLocked(s, &stmt, ts);
+  }
+  return st;
+}
+
+Status ShardedSvrEngine::AwaitDurable(uint32_t s, uint64_t ticket) {
+  if (ticket == 0) return Status::OK();
+  telemetry::StageTimer sw(telemetry_enabled_);
+  const Status st = log_writers_[s]->WaitDurable(ticket);
+  sw.Lap(tel_.dml_wait_durable_us);
+  return st;
+}
+
 Status ShardedSvrEngine::Insert(const std::string& table,
                                 const relational::Row& row) {
   SVR_ASSIGN_OR_RETURN(const TableRoute* route, RouteOf(table));
@@ -351,25 +366,13 @@ Status ShardedSvrEngine::Insert(const std::string& table,
   translated[route->route_column] =
       relational::Value::Int(static_cast<int64_t>(loc.local));
   uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    // Execution and log append under one lock: the shard's WAL file
-    // order equals its commit-timestamp order. The durability wait
-    // happens after every lock is released, so concurrent statements
-    // batch onto one fsync.
-    std::unique_lock<Mutex> log_lock(*shard_log_mu_[loc.shard]);
-    uint64_t ts = 0;
-    st = shards_[loc.shard]->Insert(table, translated, &ts);
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kInsert;
-      stmt.table = table;
-      stmt.row = row;  // the caller's global-key row, not `translated`
-      ticket = LogStatementLocked(loc.shard, &stmt, ts);
-      logged = true;
-    }
-  }
+  // The log carries the caller's global-key row, not `translated`.
+  const Status st = ExecuteLogged(
+      loc.shard, durability::StatementKind::kInsert, table, &row, 0,
+      [&](SvrEngine* shard, uint64_t* ts) {
+        return shard->Insert(table, translated, ts);
+      },
+      &ticket);
   if (fresh) {
     // Publish the reservation iff the row actually reached the shard —
     // an unpublished failed key leaves no trace, so a rejected insert
@@ -391,7 +394,7 @@ Status ShardedSvrEngine::Insert(const std::string& table,
     }
   }
   if (insert_lock.owns_lock()) insert_lock.unlock();
-  if (logged) SVR_RETURN_NOT_OK(log_writers_[loc.shard]->WaitDurable(ticket));
+  SVR_RETURN_NOT_OK(AwaitDurable(loc.shard, ticket));
   return st;
 }
 
@@ -426,26 +429,17 @@ Status ShardedSvrEngine::InsertJoinRouted(const std::string& table,
   translated[route.route_column] =
       relational::Value::Int(static_cast<int64_t>(loc.second));
   uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    std::unique_lock<Mutex> log_lock(*shard_log_mu_[loc.first]);
-    uint64_t ts = 0;
-    st = shards_[loc.first]->Insert(table, translated, &ts);
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kInsert;
-      stmt.table = table;
-      stmt.row = row;
-      ticket = LogStatementLocked(loc.first, &stmt, ts);
-      logged = true;
-    }
-  }
+  const Status st = ExecuteLogged(
+      loc.first, durability::StatementKind::kInsert, table, &row, 0,
+      [&](SvrEngine* shard, uint64_t* ts) {
+        return shard->Insert(table, translated, ts);
+      },
+      &ticket);
   if (!st.ok()) {
     WriterMutexLock lock(map_mu_);
     join_routed_rows_[table].erase(pk);
   }
-  if (logged) SVR_RETURN_NOT_OK(log_writers_[loc.first]->WaitDurable(ticket));
+  SVR_RETURN_NOT_OK(AwaitDurable(loc.first, ticket));
   return st;
 }
 
@@ -484,22 +478,13 @@ Status ShardedSvrEngine::Update(const std::string& table,
   translated[route->route_column] =
       relational::Value::Int(static_cast<int64_t>(loc.second));
   uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    std::unique_lock<Mutex> log_lock(*shard_log_mu_[loc.first]);
-    uint64_t ts = 0;
-    st = shards_[loc.first]->Update(table, translated, &ts);
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kUpdate;
-      stmt.table = table;
-      stmt.row = row;
-      ticket = LogStatementLocked(loc.first, &stmt, ts);
-      logged = true;
-    }
-  }
-  if (logged) SVR_RETURN_NOT_OK(log_writers_[loc.first]->WaitDurable(ticket));
+  const Status st = ExecuteLogged(
+      loc.first, durability::StatementKind::kUpdate, table, &row, 0,
+      [&](SvrEngine* shard, uint64_t* ts) {
+        return shard->Update(table, translated, ts);
+      },
+      &ticket);
+  SVR_RETURN_NOT_OK(AwaitDurable(loc.first, ticket));
   return st;
 }
 
@@ -523,47 +508,26 @@ Status ShardedSvrEngine::Delete(const std::string& table, int64_t pk) {
     // shard record is dropped only after the shard delete succeeded — a
     // failed delete must stay reachable for a retry.
     uint64_t ticket = 0;
-    bool logged = false;
-    {
-      std::unique_lock<Mutex> log_lock(*shard_log_mu_[shard]);
-      uint64_t ts = 0;
-      SVR_RETURN_NOT_OK(shards_[shard]->Delete(table, pk, &ts));
-      if (logging_armed_) {
-        durability::WalStatement stmt;
-        stmt.kind = durability::StatementKind::kDelete;
-        stmt.table = table;
-        stmt.pk = pk;
-        ticket = LogStatementLocked(shard, &stmt, ts);
-        logged = true;
-      }
-    }
+    SVR_RETURN_NOT_OK(ExecuteLogged(
+        shard, durability::StatementKind::kDelete, table, nullptr, pk,
+        [&](SvrEngine* e, uint64_t* ts) { return e->Delete(table, pk, ts); },
+        &ticket));
     {
       WriterMutexLock lock(map_mu_);
       auto table_it = join_routed_rows_.find(table);
       if (table_it != join_routed_rows_.end()) table_it->second.erase(pk);
     }
-    if (logged) SVR_RETURN_NOT_OK(log_writers_[shard]->WaitDurable(ticket));
-    return Status::OK();
+    return AwaitDurable(shard, ticket);
   }
   SVR_ASSIGN_OR_RETURN(auto loc, Route(pk));
   uint64_t ticket = 0;
-  bool logged = false;
-  Status st;
-  {
-    std::unique_lock<Mutex> log_lock(*shard_log_mu_[loc.first]);
-    uint64_t ts = 0;
-    st = shards_[loc.first]->Delete(table,
-                                    static_cast<int64_t>(loc.second), &ts);
-    if (st.ok() && logging_armed_) {
-      durability::WalStatement stmt;
-      stmt.kind = durability::StatementKind::kDelete;
-      stmt.table = table;
-      stmt.pk = pk;
-      ticket = LogStatementLocked(loc.first, &stmt, ts);
-      logged = true;
-    }
-  }
-  if (logged) SVR_RETURN_NOT_OK(log_writers_[loc.first]->WaitDurable(ticket));
+  const Status st = ExecuteLogged(
+      loc.first, durability::StatementKind::kDelete, table, nullptr, pk,
+      [&](SvrEngine* shard, uint64_t* ts) {
+        return shard->Delete(table, static_cast<int64_t>(loc.second), ts);
+      },
+      &ticket);
+  SVR_RETURN_NOT_OK(AwaitDurable(loc.first, ticket));
   return st;
 }
 
@@ -835,7 +799,7 @@ Status ShardedSvrEngine::LogDdl(durability::WalStatement stmt) {
     // and the (ts, seq) replay order puts it after all of them.
     ticket = LogStatementLocked(0, &stmt, clock_->Now());
   }
-  return log_writers_[0]->WaitDurable(ticket);
+  return AwaitDurable(0, ticket);
 }
 
 Status ShardedSvrEngine::ApplyStatement(
@@ -946,6 +910,47 @@ Status ShardedSvrEngine::InitDurability(
   }
   return Status::OK();
 }
+
+namespace {
+
+/// Placeholder values for the non-pk, non-text columns of a
+/// reconstructed dead-slot row. The row only exists to keep doc ids
+/// dense during checkpoint replay and is deleted again before the
+/// checkpoint stream ends, so these values are never observable.
+relational::Value DefaultValueFor(relational::ValueType type) {
+  switch (type) {
+    case relational::ValueType::kInt64:
+      return relational::Value::Int(0);
+    case relational::ValueType::kDouble:
+      return relational::Value::Double(0.0);
+    case relational::ValueType::kString:
+      return relational::Value::String("");
+    default:
+      return relational::Value::Null();
+  }
+}
+
+/// Text whose tokenization reproduces `doc` exactly: each term repeated
+/// `freq` times, whitespace-joined. Re-tokenizing yields the same
+/// multiset, hence the identical Document (FromTokens is
+/// order-insensitive) and identical corpus doc-frequency effects — which
+/// is what resurrecting a deleted slot in a checkpoint needs.
+std::string ReconstructDocText(const text::Document& doc,
+                               const text::Vocabulary& vocab) {
+  std::string out;
+  const std::vector<TermId>& terms = doc.terms();
+  const std::vector<uint32_t>& freqs = doc.freqs();
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const std::string term = vocab.term(terms[i]);
+    for (uint32_t f = 0; f < freqs[i]; ++f) {
+      if (!out.empty()) out.push_back(' ');
+      out.append(term);
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 Status ShardedSvrEngine::BuildCheckpointStatementsLocked(
     durability::CheckpointData* data) {
@@ -1073,7 +1078,14 @@ Status ShardedSvrEngine::BuildCheckpointStatementsLocked(
 }
 
 Status ShardedSvrEngine::CheckpointNow() {
+  telemetry::StageTimer sw(telemetry_enabled_);
   MutexLock run(ckpt_run_mu_);
+  const Status st = CheckpointLocked();
+  sw.Lap(tel_.checkpoint_us);
+  return st;
+}
+
+Status ShardedSvrEngine::CheckpointLocked() {
   durability::CheckpointData data;
   std::vector<std::string> covered;
   uint64_t ordinal = 0;

@@ -49,12 +49,14 @@ struct ShardedSvrEngineOptions {
   /// lanes). 1 (the default) keeps the scatter sequential — single-core
   /// benches are unchanged.
   uint32_t num_query_threads = 1;
-  /// Engine-level durability (docs/durability.md): one WAL segment per
-  /// shard in one shared directory, statements logged with their
-  /// *global* keys so recovery replays through the sharded DML path
-  /// (rebuilding all routing state — and tolerating a different
-  /// num_shards than the log was written under). The per-shard option
-  /// `shard.durability` is ignored — shards never run their own WAL.
+  /// Durability (docs/durability.md): when enabled, Open recovers from
+  /// `durability.dir` (latest checkpoint + WAL suffix) and every
+  /// statement thereafter is logged and group-committed before its DML
+  /// call returns. One WAL segment per shard in one shared directory;
+  /// statements carry their *global* keys, so recovery replays through
+  /// the sharded DML path (rebuilding all routing state — and tolerating
+  /// a different num_shards than the log was written under). This is
+  /// the engine's only WAL: shards never log.
   durability::DurabilityOptions durability;
   /// Telemetry rides in `shard.telemetry` (docs/observability.md): Open
   /// installs ONE shared registry into every shard, so per-shard
@@ -303,7 +305,8 @@ class ShardedSvrEngine {
   Loc MapOrAllocate(int64_t gid, std::unique_lock<Mutex>* insert_lock,
                     bool* fresh) EXCLUDES(map_mu_);
 
-  /// Resolves the `sharded.*` instruments and the slow-query log from
+  /// Resolves the `sharded.*`, `wal.*`, `dml.wait_durable_us` and
+  /// `checkpoint.duration_us` instruments and the slow-query log from
   /// the shared registry Open installed into every shard. Called by
   /// Open before InitDurability (the WAL writers are instrumented at
   /// creation). No-op when `topt.enabled` is false.
@@ -313,8 +316,24 @@ class ShardedSvrEngine {
   /// Directory scan + checkpoint load + WAL replay through the public
   /// sharded DML path; then arms per-shard logging. Called by Open.
   Status InitDurability(const durability::DurabilityOptions& options);
-  /// Re-executes one logged statement (recovery).
+  /// Re-executes one logged statement (checkpoint load and WAL replay;
+  /// checkpoint header/footer records are no-ops).
   Status ApplyStatement(const durability::WalStatement& stmt);
+  /// One DML statement on shard `s`: runs `exec(shard, &commit_ts)`
+  /// under shard_log_mu_[s] and, if it succeeded while logging is armed,
+  /// appends the global-key statement (`kind`, `table`, `row` or `pk`)
+  /// to that shard's WAL under the same lock. Returns exec's status;
+  /// `*ticket` receives the AwaitDurable ticket, 0 when nothing was
+  /// logged.
+  template <typename Exec>
+  Status ExecuteLogged(uint32_t s, durability::StatementKind kind,
+                       const std::string& table, const relational::Row* row,
+                       int64_t pk, Exec exec, uint64_t* ticket);
+  /// Group-commit wait for `ticket` on shard `s`'s WAL (no-op for 0),
+  /// timed into `dml.wait_durable_us`. Called after every lock is
+  /// released ("ack after lock release"), so concurrent statements batch
+  /// onto one fsync.
+  Status AwaitDurable(uint32_t s, uint64_t ticket);
   /// Stamps (seq, ts), frames and appends `stmt` to shard `s`'s log.
   /// Caller holds shard_log_mu_[s] — the same lock that ordered the
   /// statement's execution, so each shard's file order equals its
@@ -329,6 +348,8 @@ class ShardedSvrEngine {
   /// every shard_insert_mu_ and every shard_log_mu_.
   Status BuildCheckpointStatementsLocked(durability::CheckpointData* data)
       EXCLUDES(map_mu_);
+  /// CheckpointNow's body, under the checkpoint run lock.
+  Status CheckpointLocked() REQUIRES(ckpt_run_mu_) EXCLUDES(map_mu_);
   void CheckpointLoop() EXCLUDES(ckpt_mu_);
 
   std::vector<std::unique_ptr<SvrEngine>> shards_;
@@ -344,6 +365,10 @@ class ShardedSvrEngine {
     telemetry::ShardedHistogram* gather_us = nullptr;
     telemetry::ShardedHistogram* join_us = nullptr;
     telemetry::ShardedHistogram* query_total_us = nullptr;
+    telemetry::ShardedHistogram* dml_wait_durable_us = nullptr;
+    telemetry::ShardedHistogram* checkpoint_us = nullptr;
+    /// Handed to every LogWriter at construction (group-commit batch
+    /// size and write+fsync latency, docs/durability.md).
     telemetry::ShardedHistogram* wal_fsync_us = nullptr;
     telemetry::ShardedHistogram* wal_batch_statements = nullptr;
     telemetry::Counter* slow_queries = nullptr;

@@ -63,28 +63,25 @@ struct ChunkGroup {
 
 // --- encoders (bulk build) ---------------------------------------------
 //
-// `format` selects the on-disk layout; existing v1 call sites (and the
-// paper-faithful baseline) default to kV1.
+// `format` selects the on-disk layout. It has no default: every index
+// writes and reads `IndexContext::posting_format`, and a caller that
+// forgot the argument would silently write the other layout.
 
 /// `docs` must be strictly ascending.
 void EncodeIdList(const std::vector<DocId>& docs, std::string* out,
-                  PostingFormat format = PostingFormat::kV1);
+                  PostingFormat format);
 /// `postings` must be strictly ascending by doc.
 void EncodeIdTsList(const std::vector<IdPosting>& postings, bool with_ts,
-                    std::string* out,
-                    PostingFormat format = PostingFormat::kV1);
+                    std::string* out, PostingFormat format);
 /// `postings` must be sorted by (score desc, doc asc).
 void EncodeScoreList(const std::vector<ScorePosting>& postings,
-                     std::string* out,
-                     PostingFormat format = PostingFormat::kV1);
+                     std::string* out, PostingFormat format);
 /// `groups` must be sorted by cid descending; postings doc-ascending.
 void EncodeChunkList(const std::vector<ChunkGroup>& groups, bool with_ts,
-                     std::string* out,
-                     PostingFormat format = PostingFormat::kV1);
+                     std::string* out, PostingFormat format);
 /// `postings` doc-ascending; min_ts = smallest term score among them.
 void EncodeFancyList(const std::vector<IdPosting>& postings, float min_ts,
-                     std::string* out,
-                     PostingFormat format = PostingFormat::kV1);
+                     std::string* out, PostingFormat format);
 
 // --- streaming decoders (page-at-a-time over BlobStore) -----------------
 
@@ -173,7 +170,7 @@ class ChunkListReader {
 /// Loads an entire fancy list (they are small by construction).
 Status DecodeFancyList(storage::BlobStore::Reader reader,
                        std::vector<IdPosting>* postings, float* min_ts,
-                       PostingFormat format = PostingFormat::kV1);
+                       PostingFormat format);
 
 }  // namespace svr::index
 

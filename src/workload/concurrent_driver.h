@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -137,6 +138,16 @@ Result<std::unique_ptr<core::ShardedSvrEngine>> SetupShardedChurnEngine(
 Result<ShardedChurnResult> RunShardedChurn(
     core::ShardedSvrEngine* engine, const ConcurrentChurnConfig& config,
     uint32_t writer_threads, uint32_t run_ms);
+
+/// One cross-shard oracle validation of a conjunctive query at one
+/// pinned ShardedReadView (the cross-shard read timestamp): every
+/// shard's index top-k at its pinned version must equal its brute-force
+/// oracle at the same version, and the GatherTopK merge of the two sides
+/// must agree. Returns OK with *mismatch set on divergence.
+Status ValidateShardedQuery(core::ShardedSvrEngine* engine,
+                            const core::ShardedReadView& view,
+                            const std::vector<std::string>& tokens,
+                            uint32_t top_k, bool with_ts, bool* mismatch);
 
 }  // namespace svr::workload
 

@@ -7,7 +7,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/svr_engine.h"
+#include "core/sharded_engine.h"
 #include "durability/fault_injection.h"
 #include "index/index_factory.h"
 #include "relational/value.h"
@@ -27,14 +27,16 @@ struct CrashOp {
 };
 
 /// One kill-and-recover run (docs/durability.md, "Fault matrix"):
-/// load a corpus, arm a fault injector, churn until the simulated
-/// machine death, recover from the on-disk bytes alone, and validate
-/// the recovered state against a shadow replay and the brute-force
-/// oracle.
+/// load a corpus into a durable ShardedSvrEngine, arm a fault injector,
+/// churn until the simulated machine death, recover from the on-disk
+/// bytes alone, and validate the recovered state against a shadow
+/// replay and the brute-force oracle.
 struct CrashRecoveryConfig {
   /// Durability directory. The driver WIPES it before the run.
   std::string dir;
   index::Method method = index::Method::kChunk;
+  /// Shards of the crashed, recovered and shadow engines alike.
+  uint32_t num_shards = 1;
 
   uint32_t initial_docs = 150;
   uint32_t vocab = 400;
@@ -69,9 +71,10 @@ struct CrashRecoveryConfig {
   /// Background checkpoint trigger, forwarded to DurabilityOptions.
   uint64_t checkpoint_interval_statements = 0;
 
-  /// Post-recovery validation: this many 2-term queries, each compared
-  /// three ways (recovered Search vs shadow Search; recovered index
-  /// TopKAt vs BruteForceOracle at the recovered snapshot).
+  /// Post-recovery validation: this many 2-term queries, each checked at
+  /// one pinned recovered ShardedReadView two ways: recovered SearchAt
+  /// vs shadow Search, and every shard's index TopKAt vs
+  /// BruteForceOracle (plus their gathered merges).
   uint32_t validate_queries = 25;
   uint32_t top_k = 10;
 

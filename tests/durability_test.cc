@@ -376,12 +376,20 @@ TEST(EngineLifecycleTest, StopIsIdempotentAndSafeBeforeStart) {
   engine->Stop();
 }
 
-TEST(EngineLifecycleTest, DurabilityRejectsCustomAggFunctions) {
-  const std::string dir = TestDir("custom_agg");
-  core::SvrEngineOptions options;
+// --- sharded persist -> recover ----------------------------------------
+
+core::ShardedSvrEngineOptions ShardedDurableOptions(const std::string& dir,
+                                                    uint32_t shards) {
+  core::ShardedSvrEngineOptions options;
+  options.num_shards = shards;
   options.durability.enabled = true;
   options.durability.dir = dir;
-  auto r = core::SvrEngine::Open(options);
+  return options;
+}
+
+TEST(EngineLifecycleTest, DurabilityRejectsCustomAggFunctions) {
+  const std::string dir = TestDir("custom_agg");
+  auto r = core::ShardedSvrEngine::Open(ShardedDurableOptions(dir, 1));
   ASSERT_TRUE(r.ok());
   auto engine = std::move(r).value();
   ASSERT_TRUE(engine
@@ -444,17 +452,6 @@ TEST(RecoveryTest, BackgroundCheckpointThreadCoversTheLog) {
   auto r = workload::RunKillRecover(config);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().mismatches, 0u);
-}
-
-// --- sharded persist -> recover ----------------------------------------
-
-core::ShardedSvrEngineOptions ShardedDurableOptions(const std::string& dir,
-                                                    uint32_t shards) {
-  core::ShardedSvrEngineOptions options;
-  options.num_shards = shards;
-  options.durability.enabled = true;
-  options.durability.dir = dir;
-  return options;
 }
 
 Status LoadShardedFixture(core::ShardedSvrEngine* engine, int docs) {
@@ -539,52 +536,15 @@ TEST(ShardedRecoveryTest, RecoversAcrossRestartEvenWithDifferentShardCount) {
   }
 }
 
-TEST(ShardedRecoveryTest, KillAndRecoverMidChurn) {
-  const std::string dir = TestDir("sharded_kill");
-  auto injector = std::make_shared<FaultInjector>();
-  core::ShardedSvrEngineOptions options = ShardedDurableOptions(dir, 3);
-  options.durability.file_factory =
-      durability::FaultInjectingFactory(injector);
-  constexpr int kDocs = 100;
-  uint64_t acked = 0;
-  {
-    auto r = core::ShardedSvrEngine::Open(options);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    auto engine = std::move(r).value();
-    ASSERT_TRUE(LoadShardedFixture(engine.get(), kDocs).ok());
-    injector->FailAfter(FaultInjector::Op::kWrite, 120,
-                        /*short_write=*/true);
-    for (int d = 0;; d = (d + 1) % kDocs) {
-      if (d % 11 == 3) continue;
-      const Status st = engine->Update(
-          "scores",
-          {Value::Int(d), Value::Double(100.0 + acked)});
-      if (!st.ok()) break;
-      ++acked;
-      ASSERT_LT(acked, 100000u) << "injector never tripped";
-    }
-    ASSERT_TRUE(injector->crashed());
-    engine->Stop();
-  }
-  injector->Reset();
-  auto r = core::ShardedSvrEngine::Open(options);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  auto engine = std::move(r).value();
-  const auto& stats = engine->recovery_stats();
-  // Setup statements: 3 DDL + 2*kDocs inserts + kDocs/5 updates +
-  // ceil((kDocs-3)/11) deletes; every acked churn op must be there too.
-  const uint64_t setup = 3 + 2ull * kDocs + (kDocs + 4) / 5 + 9;
-  EXPECT_GE(stats.recovered_seq, setup + acked);
-  engine->Stop();
-}
-
 // --- the kill-and-recover sweep ----------------------------------------
 
 /// >= 20 randomized crash points across all five query methods and every
 /// fault class: WAL write, WAL fsync, torn (short) write, mid-checkpoint,
-/// background-checkpoint races. Every run must recover all acked ops and
-/// answer queries exactly like the shadow replay AND the brute-force
-/// oracle. This is the acceptance gate of the durability subsystem.
+/// background-checkpoint races, each at 1 shard and at 3 (the served
+/// configuration: one WAL segment per shard). Every run must recover all
+/// acked ops and answer queries exactly like the shadow replay AND the
+/// per-shard brute-force oracle. This is the acceptance gate of the
+/// durability subsystem.
 TEST(KillRecoverSweepTest, AllMethodsAllFaultClasses) {
   const index::Method kMethods[] = {
       index::Method::kId,          index::Method::kIdTermScore,
@@ -604,31 +564,36 @@ TEST(KillRecoverSweepTest, AllMethodsAllFaultClasses) {
       {FaultInjector::Op::kWrite, 140, false, 60}, // mid/near checkpoint
   };
   int crashes = 0;
-  for (index::Method method : kMethods) {
-    for (size_t f = 0; f < sizeof(kFaults) / sizeof(kFaults[0]); ++f) {
-      const FaultCase& fault = kFaults[f];
-      workload::CrashRecoveryConfig config;
-      config.dir = TestDir("sweep");
-      config.method = method;
-      config.seed = 2005 + 37 * f +
-                    static_cast<uint64_t>(method) * 1009;
-      config.crash_op = fault.op;
-      config.crash_after_ops = fault.after;
-      config.short_write = fault.short_write;
-      config.checkpoint_after_ops = fault.checkpoint_after;
-      auto r = workload::RunKillRecover(config);
-      ASSERT_TRUE(r.ok())
-          << index::MethodName(method) << " fault " << f << ": "
-          << r.status().ToString();
-      const auto& result = r.value();
-      EXPECT_TRUE(result.crashed)
-          << index::MethodName(method) << " fault " << f
-          << " never tripped";
-      EXPECT_EQ(result.mismatches, 0u)
-          << index::MethodName(method) << " fault " << f;
-      EXPECT_GT(result.oracle_checks, 0u);
-      EXPECT_GE(result.recovered_ops, result.acked_ops);
-      if (result.crashed) ++crashes;
+  for (uint32_t shards : {1u, 3u}) {
+    for (index::Method method : kMethods) {
+      for (size_t f = 0; f < sizeof(kFaults) / sizeof(kFaults[0]); ++f) {
+        const FaultCase& fault = kFaults[f];
+        const std::string where = std::string(index::MethodName(method)) +
+                                  " fault " + std::to_string(f) +
+                                  " shards " + std::to_string(shards);
+        workload::CrashRecoveryConfig config;
+        config.dir = TestDir("sweep");
+        config.num_shards = shards;
+        config.method = method;
+        config.seed = 2005 + 37 * f +
+                      static_cast<uint64_t>(method) * 1009;
+        config.crash_op = fault.op;
+        config.crash_after_ops = fault.after;
+        config.short_write = fault.short_write;
+        config.checkpoint_after_ops = fault.checkpoint_after;
+        auto r = workload::RunKillRecover(config);
+        ASSERT_TRUE(r.ok()) << where << ": " << r.status().ToString();
+        const auto& result = r.value();
+        EXPECT_TRUE(result.crashed) << where << " never tripped";
+        EXPECT_EQ(result.mismatches, 0u) << where;
+        EXPECT_GT(result.oracle_checks, 0u);
+        EXPECT_GE(result.recovered_ops, result.acked_ops);
+        if (fault.short_write) {
+          // The torn frame the injector left must be found and cut.
+          EXPECT_GT(result.recovery.torn_tail_bytes, 0u) << where;
+        }
+        if (result.crashed) ++crashes;
+      }
     }
   }
   EXPECT_GE(crashes, 20);
@@ -641,13 +606,11 @@ TEST(KillRecoverSweepTest, AllMethodsAllFaultClasses) {
 // the checkpointer runs against live DML, so the TSan/ASan legs cover
 // the access pattern the const_cast hid.
 TEST(EngineLifecycleTest, CheckpointErrorReadableWhileCheckpointing) {
-  const std::string dir = TestDir("ckpt_error_probe");
-  core::SvrEngineOptions options;
-  options.durability.enabled = true;
-  options.durability.dir = dir;
+  core::ShardedSvrEngineOptions options =
+      ShardedDurableOptions(TestDir("ckpt_error_probe"), 1);
   options.durability.checkpoint_interval_statements = 25;
   options.durability.checkpoint_poll_ms = 1;
-  auto r = core::SvrEngine::Open(options);
+  auto r = core::ShardedSvrEngine::Open(options);
   ASSERT_TRUE(r.ok());
   auto engine = std::move(r).value();
   ASSERT_TRUE(engine

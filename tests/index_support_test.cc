@@ -201,7 +201,7 @@ class CodecTest : public ::testing::Test {
 TEST_F(CodecTest, IdListRoundTrip) {
   std::vector<DocId> docs = {0, 1, 5, 6, 7, 100, 10000, 2000000};
   std::string buf;
-  EncodeIdList(docs, &buf);
+  EncodeIdList(docs, &buf, PostingFormat::kV1);
   auto ref = blobs_->Write(buf);
   ASSERT_TRUE(ref.ok());
   IdListReader r(blobs_->NewReader(ref.value()), /*with_ts=*/false);
@@ -217,7 +217,7 @@ TEST_F(CodecTest, IdListRoundTrip) {
 TEST_F(CodecTest, IdTsListRoundTrip) {
   std::vector<IdPosting> ps = {{3, 0.5f}, {9, 0.25f}, {700, 0.125f}};
   std::string buf;
-  EncodeIdTsList(ps, /*with_ts=*/true, &buf);
+  EncodeIdTsList(ps, /*with_ts=*/true, &buf, PostingFormat::kV1);
   auto ref = blobs_->Write(buf);
   ASSERT_TRUE(ref.ok());
   IdListReader r(blobs_->NewReader(ref.value()), /*with_ts=*/true);
@@ -235,7 +235,7 @@ TEST_F(CodecTest, ScoreListRoundTrip) {
   std::vector<ScorePosting> ps = {
       {900.5, 4}, {900.5, 9}, {40.25, 2}, {0.0, 77}};
   std::string buf;
-  EncodeScoreList(ps, &buf);
+  EncodeScoreList(ps, &buf, PostingFormat::kV1);
   auto ref = blobs_->Write(buf);
   ASSERT_TRUE(ref.ok());
   ScoreListReader r(blobs_->NewReader(ref.value()));
@@ -258,7 +258,7 @@ TEST_F(CodecTest, ChunkListRoundTripAndSkip) {
   groups[2].cid = 1;
   groups[2].postings = {{2, 0}, {3, 0}};
   std::string buf;
-  EncodeChunkList(groups, /*with_ts=*/false, &buf);
+  EncodeChunkList(groups, /*with_ts=*/false, &buf, PostingFormat::kV1);
   auto ref = blobs_->Write(buf);
   ASSERT_TRUE(ref.ok());
 
@@ -299,13 +299,14 @@ TEST_F(CodecTest, ChunkListRoundTripAndSkip) {
 TEST_F(CodecTest, FancyListRoundTrip) {
   std::vector<IdPosting> ps = {{10, 0.9f}, {20, 0.8f}, {30, 0.7f}};
   std::string buf;
-  EncodeFancyList(ps, 0.7f, &buf);
+  EncodeFancyList(ps, 0.7f, &buf, PostingFormat::kV1);
   auto ref = blobs_->Write(buf);
   ASSERT_TRUE(ref.ok());
   std::vector<IdPosting> out;
   float min_ts;
-  ASSERT_TRUE(
-      DecodeFancyList(blobs_->NewReader(ref.value()), &out, &min_ts).ok());
+  ASSERT_TRUE(DecodeFancyList(blobs_->NewReader(ref.value()), &out, &min_ts,
+                              PostingFormat::kV1)
+                  .ok());
   EXPECT_EQ(min_ts, 0.7f);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[1].doc, 20u);
@@ -314,7 +315,7 @@ TEST_F(CodecTest, FancyListRoundTrip) {
 
 TEST_F(CodecTest, EmptyListsAreValid) {
   std::string buf;
-  EncodeIdList({}, &buf);
+  EncodeIdList({}, &buf, PostingFormat::kV1);
   auto ref = blobs_->Write(buf);
   ASSERT_TRUE(ref.ok());
   IdListReader r(blobs_->NewReader(ref.value()), false);

@@ -7,8 +7,9 @@
 //    additive gauge registration.
 //  - Engine plumbing: a traced Search returns result-for-result what an
 //    untraced one does, slow queries land in the ring with a complete
-//    stage trace, DumpMetrics round-trips both formats, and the sharded
-//    engine's trace carries one span per shard. (A TSan target in
+//    stage trace, DumpMetrics round-trips both formats, the sharded
+//    engine's trace carries one span per shard, and the durable engine
+//    times its group-commit waits and checkpoints. (A TSan target in
 //    ci.sh.)
 
 #include <gtest/gtest.h>
@@ -22,11 +23,13 @@
 #include "common/random.h"
 #include "core/sharded_engine.h"
 #include "core/svr_engine.h"
+#include "durability/checkpoint.h"
 #include "telemetry/histogram.h"
 #include "telemetry/metrics_registry.h"
 #include "telemetry/query_trace.h"
 #include "telemetry/slow_query_log.h"
 #include "workload/concurrent_driver.h"
+#include "workload/crash_driver.h"
 
 namespace svr {
 namespace {
@@ -378,6 +381,36 @@ TEST(ShardedTelemetryTest, TraceCarriesOneSpanPerShard) {
   EXPECT_NE(json.find("\"query.total_us\""), std::string::npos)
       << "per-shard instruments share the registry";
   engine->Stop();
+}
+
+TEST(ShardedTelemetryTest, DurableEngineTimesWaitsAndCheckpoints) {
+  // The WAL belongs to the sharded layer, so the group-commit wait and
+  // the checkpoint duration are its instruments to record.
+  const std::string dir = "telemetry_test_durable";
+  ASSERT_TRUE(workload::WipeDirectory(dir).ok());
+  ASSERT_TRUE(durability::EnsureDirectory(dir).ok());
+  core::ShardedSvrEngineOptions opt;
+  opt.num_shards = 2;
+  opt.shard.telemetry.enabled = true;
+  opt.durability.enabled = true;
+  opt.durability.dir = dir;
+  auto engine_r = core::ShardedSvrEngine::Open(opt);
+  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
+  auto engine = std::move(engine_r).value();
+  const relational::Schema schema({{"id", relational::ValueType::kInt64}}, 0);
+  ASSERT_TRUE(engine->CreateTable("t", schema).ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(engine->Insert("t", {relational::Value::Int(i)}).ok());
+  }
+  ASSERT_TRUE(engine->CheckpointNow().ok());
+  telemetry::MetricsRegistry* reg = engine->metrics_registry();
+  ASSERT_NE(reg, nullptr);
+  EXPECT_GE(reg->GetHistogram("wal.fsync_us")->Snapshot().count, 51u);
+  EXPECT_GE(reg->GetHistogram("dml.wait_durable_us")->Snapshot().count, 50u);
+  EXPECT_EQ(reg->GetHistogram("checkpoint.duration_us")->Snapshot().count,
+            1u);
+  engine->Stop();
+  EXPECT_TRUE(workload::WipeDirectory(dir).ok());
 }
 
 TEST(ShardedTelemetryTest, StatsTotalsSumEveryField) {

@@ -36,19 +36,18 @@ import tempfile
 # means "a may be held while acquiring b".  Cross-file nestings are not
 # lexically visible to the extractor, so they are declared here.
 DECLARED_EDGES = [
-    # Sharded write path: per-shard insert mutex, then the target
-    # engine's writer mutex, then the WAL writer's internal mutex.
+    # Sharded write path: per-shard insert mutex, then the per-shard log
+    # mutex, which every DML holds across the shard's own statement
+    # (the target engine's writer mutex) and the WAL append (the log
+    # writer's internal mutex).
     ("sharded_engine:shard_insert_mu_", "svr_engine:writer_mu_"),
-    ("svr_engine:writer_mu_", "log_writer:mu_"),
-    # The per-shard log mutex serialises WAL appends; the writer's
-    # internal mutex nests inside it on the sharded path too.
     ("sharded_engine:shard_insert_mu_", "sharded_engine:shard_log_mu_"),
+    ("sharded_engine:shard_log_mu_", "svr_engine:writer_mu_"),
     ("sharded_engine:shard_log_mu_", "log_writer:mu_"),
     # The id-map reader/writer lock nests inside the per-shard mutexes.
     ("sharded_engine:shard_insert_mu_", "sharded_engine:map_mu_"),
     ("sharded_engine:shard_log_mu_", "sharded_engine:map_mu_"),
     # Checkpoints exclude writers while holding the checkpoint run lock.
-    ("svr_engine:ckpt_run_mu_", "svr_engine:writer_mu_"),
     ("sharded_engine:ckpt_run_mu_", "sharded_engine:shard_insert_mu_"),
     ("sharded_engine:ckpt_run_mu_", "sharded_engine:shard_log_mu_"),
     # Legacy shared-lock reads pin the table while queries run; the
