@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/key_codec.h"
 #include "common/random.h"
@@ -55,6 +56,49 @@ void BM_BPlusTreePointLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BPlusTreePointLookup)->Arg(100000);
+
+// Point lookups on a sealed copy-on-write tree from several threads at
+// once — the Score-table probe the Chunk method pays per candidate. Every
+// page is resident, so this measures the buffer pool's pin/unpin path
+// and how it scales: each lookup pins the root, so threads share it.
+struct SnapshotTree {
+  InMemoryPageStore store{4096};
+  BufferPool pool{&store, 1 << 16};
+  std::unique_ptr<BPlusTree> tree;
+  TreeSnapshot snap;
+  std::vector<std::string> keys;
+};
+std::unique_ptr<SnapshotTree> snapshot_tree;
+
+void BM_BPlusTreeSnapshotLookup(benchmark::State& state) {
+  if (state.thread_index() == 0) {
+    snapshot_tree = std::make_unique<SnapshotTree>();
+    SnapshotTree& t = *snapshot_tree;
+    t.tree = BPlusTree::CreateCow(&t.pool, nullptr).value();
+    Random fill(7);
+    for (int64_t i = 0; i < state.range(0); ++i) {
+      t.keys.push_back(Key(fill.Next()));
+      (void)t.tree->Put(t.keys.back(), "v");
+    }
+    t.snap = t.tree->Seal();
+  }
+  size_t i = static_cast<size_t>(state.thread_index()) * 7919;
+  std::string v;
+  // The loop's first iteration waits for every thread, so thread 0's
+  // set-up above is visible inside the loop (and only there).
+  for (auto _ : state) {
+    const SnapshotTree& t = *snapshot_tree;
+    benchmark::DoNotOptimize(
+        t.tree->GetAt(t.snap, t.keys[i++ % t.keys.size()], &v));
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) snapshot_tree.reset();
+}
+BENCHMARK(BM_BPlusTreeSnapshotLookup)
+    ->Arg(100000)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
 
 void BM_BPlusTreeScan(benchmark::State& state) {
   InMemoryPageStore store(4096);

@@ -36,8 +36,8 @@ fi
 
 if [ "$SANITIZERS_ONLY" != "1" ]; then
   cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j
-  (cd "$BUILD_DIR" && ctest -L tier1 --output-on-failure -j)
+  cmake --build "$BUILD_DIR" -j"$(nproc)"
+  (cd "$BUILD_DIR" && ctest -L tier1 --output-on-failure -j"$(nproc)")
   SMOKE_DIR="$BUILD_DIR/smoke"
   mkdir -p "$SMOKE_DIR"
 
@@ -155,7 +155,7 @@ if [ "$SANITIZERS_ONLY" != "1" ]; then
 
   # Examples must build (README points new readers at them) and the
   # quickstart must run.
-  cmake --build "$BUILD_DIR" -j --target svr_examples
+  cmake --build "$BUILD_DIR" -j"$(nproc)" --target svr_examples
   "$BUILD_DIR/example_quickstart" > /dev/null
 fi
 
@@ -169,7 +169,7 @@ if [ "$SANITIZERS" = "1" ]; then
   cmake -B "$TSAN_BUILD_DIR" -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-  cmake --build "$TSAN_BUILD_DIR" -j --target concurrency_test \
+  cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)" --target concurrency_test \
     --target sharded_engine_test --target mvcc_test \
     --target telemetry_test --target server_test
   (cd "$TSAN_BUILD_DIR" && ctest -L concurrency --output-on-failure)
@@ -184,7 +184,7 @@ if [ "$SANITIZERS" = "1" ]; then
   cmake -B "$ASAN_BUILD_DIR" -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-  cmake --build "$ASAN_BUILD_DIR" -j --target svr_tests
+  cmake --build "$ASAN_BUILD_DIR" -j"$(nproc)" --target svr_tests
   (cd "$ASAN_BUILD_DIR" && ctest -L tier1 --output-on-failure)
 fi
 

@@ -89,6 +89,24 @@ void SvrEngine::InitTelemetry() {
   metrics_->RegisterGauge("epoch.objects_reclaimed", [this] {
     return static_cast<double>(epochs_->objects_reclaimed());
   });
+  // Buffer-pool counters, cumulative since the pool's last ResetStats.
+  using PoolCounter = uint64_t storage::BufferPoolStats::*;
+  const std::pair<const char*, PoolCounter> pool_counters[] = {
+      {"fetches", &storage::BufferPoolStats::fetches},
+      {"hits", &storage::BufferPoolStats::hits},
+      {"misses", &storage::BufferPoolStats::misses},
+      {"evictions", &storage::BufferPoolStats::evictions}};
+  for (const auto& [pool_name, pool] :
+       {std::pair<const char*, storage::BufferPool*>{"list", list_pool_.get()},
+        {"table", table_pool_.get()}}) {
+    for (const auto& [counter_name, counter] : pool_counters) {
+      metrics_->RegisterGauge(
+          std::string("pool.") + pool_name + "." + counter_name,
+          [pool = pool, counter = counter] {
+            return static_cast<double>(pool->stats().*counter);
+          });
+    }
+  }
   if (topt.dump_interval_ms > 0 && topt.dump_sink) {
     metrics_->StartPeriodicDump(topt.dump_interval_ms, topt.dump_format,
                                 topt.dump_sink);

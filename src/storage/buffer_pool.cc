@@ -1,17 +1,14 @@
 #include "storage/buffer_pool.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace svr::storage {
 
 PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
   if (this != &other) {
     Release();
-    pool_ = other.pool_;
     frame_ = other.frame_;
     data_ = other.data_;
-    other.pool_ = nullptr;
     other.frame_ = nullptr;
     other.data_ = nullptr;
   }
@@ -20,8 +17,7 @@ PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
 
 void PageHandle::Release() {
   if (frame_ != nullptr) {
-    pool_->Unpin(frame_);
-    pool_ = nullptr;
+    BufferPool::Unpin(frame_);
     frame_ = nullptr;
     data_ = nullptr;
   }
@@ -35,71 +31,162 @@ BufferPool::~BufferPool() {
   (void)FlushAll();
 }
 
-void BufferPool::LruUnlink(Frame* frame) {
-  if (!frame->in_lru) return;
-  if (frame->lru_prev != nullptr) {
-    frame->lru_prev->lru_next = frame->lru_next;
-  } else {
-    lru_head_ = frame->lru_next;
-  }
-  if (frame->lru_next != nullptr) {
-    frame->lru_next->lru_prev = frame->lru_prev;
-  } else {
-    lru_tail_ = frame->lru_prev;
-  }
-  frame->lru_prev = nullptr;
-  frame->lru_next = nullptr;
-  frame->in_lru = false;
+void BufferPool::Unpin(Frame* frame) {
+  // Release: this pin's writes to the page happen before an evictor's
+  // writeback, which reads the count with acquire.
+  [[maybe_unused]] const int32_t was =
+      frame->pin_count.fetch_sub(1, std::memory_order_release);
+  assert(was > 0);
 }
 
-void BufferPool::LruPushFront(Frame* frame) {
-  frame->lru_prev = nullptr;
-  frame->lru_next = lru_head_;
-  if (lru_head_ != nullptr) lru_head_->lru_prev = frame;
-  lru_head_ = frame;
-  if (lru_tail_ == nullptr) lru_tail_ = frame;
-  frame->in_lru = true;
+void BufferPool::Hit(Partition& part, Frame* frame, PageHandle* handle) {
+  frame->pin_count.fetch_add(1, std::memory_order_relaxed);
+  if (!frame->referenced.load(std::memory_order_relaxed)) {
+    frame->referenced.store(true, std::memory_order_relaxed);
+  }
+  part.hits.fetch_add(1, std::memory_order_relaxed);
+  *handle = PageHandle(frame, frame->data.get());
+}
+
+void BufferPool::Insert(Partition& part, std::unique_ptr<Frame> frame) {
+  Frame* raw = frame.get();
+  [[maybe_unused]] const bool inserted =
+      part.frames.emplace(raw->id, std::move(frame)).second;
+  assert(inserted);
+  num_frames_.fetch_add(1, std::memory_order_relaxed);
+  raw->pending_next = pending_.load(std::memory_order_relaxed);
+  while (!pending_.compare_exchange_weak(raw->pending_next, raw,
+                                         std::memory_order_release,
+                                         std::memory_order_relaxed)) {
+  }
+}
+
+void BufferPool::DrainPending() {
+  Frame* f = pending_.exchange(nullptr, std::memory_order_acquire);
+  while (f != nullptr) {
+    f->ring_pos = ring_.size();
+    ring_.push_back(f);
+    f = f->pending_next;
+  }
+  if (ring_holes_ * 2 > ring_.size()) CompactRing();
+}
+
+Status BufferPool::WriteBack(Partition& part, Frame* frame) {
+  if (frame->dirty.load(std::memory_order_relaxed)) {
+    SVR_RETURN_NOT_OK(store_->Write(frame->id, frame->data.get()));
+    frame->dirty.store(false, std::memory_order_relaxed);
+    part.writebacks.fetch_add(1, std::memory_order_relaxed);
+  }
+  return Status::OK();
+}
+
+void BufferPool::Drop(Partition& part, Frame* frame) {
+  // Leaves a hole rather than moving another frame into the slot, which
+  // would hand that frame a second look in the same sweep.
+  ring_[frame->ring_pos] = nullptr;
+  ++ring_holes_;
+  ++part.drops;
+  num_frames_.fetch_sub(1, std::memory_order_relaxed);
+  part.frames.erase(frame->id);
+}
+
+void BufferPool::CompactRing() {
+  size_t kept = 0;
+  size_t hand = 0;
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    if (i == hand_) hand = kept;
+    if (ring_[i] == nullptr) continue;
+    ring_[i]->ring_pos = kept;
+    ring_[kept++] = ring_[i];
+  }
+  ring_.resize(kept);
+  ring_holes_ = 0;
+  hand_ = hand;
+}
+
+Status BufferPool::MakeRoom() {
+  MutexLock lock(evict_mu_);
+  DrainPending();
+  // Each frame is passed at most twice: once to clear its reference bit,
+  // once to evict it. Pinned frames are skipped, so a fully pinned pool
+  // ends the sweep and grows past capacity instead.
+  for (size_t budget = 2 * ring_.size();
+       budget > 0 &&
+       num_frames_.load(std::memory_order_relaxed) >= capacity_;
+       --budget, ++hand_) {
+    if (hand_ >= ring_.size()) hand_ = 0;
+    Frame* f = ring_[hand_];
+    if (f == nullptr) continue;
+    if (f->referenced.load(std::memory_order_relaxed)) {
+      f->referenced.store(false, std::memory_order_relaxed);
+      continue;
+    }
+    if (f->pin_count.load(std::memory_order_relaxed) > 0) continue;
+    Partition& part = PartitionFor(f->id);
+    WriterMutexLock part_lock(part.mu);
+    // Pins are taken only under the partition lock, so a zero count
+    // read while holding it exclusively stays zero.
+    if (f->pin_count.load(std::memory_order_acquire) > 0) continue;
+    SVR_RETURN_NOT_OK(WriteBack(part, f));
+    part.evictions.fetch_add(1, std::memory_order_relaxed);
+    Drop(part, f);
+  }
+  return Status::OK();
 }
 
 Status BufferPool::Fetch(PageId id, PageHandle* handle) {
-  MutexLock lock(mu_);
-  ++stats_.fetches;
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
-    ++stats_.hits;
-    Frame* f = it->second.get();
-    LruUnlink(f);
-    ++f->pin_count;
-    *handle = PageHandle(this, f, f->data.get());
-    return Status::OK();
+  Partition& part = PartitionFor(id);
+  uint64_t drops;
+  {
+    ReaderMutexLock lock(part.mu);
+    auto it = part.frames.find(id);
+    if (it != part.frames.end()) {
+      Hit(part, it->second.get(), handle);
+      return Status::OK();
+    }
+    drops = part.drops;
   }
 
-  ++stats_.misses;
-  SVR_RETURN_NOT_OK(MakeRoom());
+  if (num_frames_.load(std::memory_order_relaxed) >= capacity_) {
+    SVR_RETURN_NOT_OK(MakeRoom());
+  }
   auto frame = std::make_unique<Frame>();
   frame->id = id;
-  frame->data = std::make_unique<char[]>(store_->page_size());
-  SVR_RETURN_NOT_OK(store_->Read(id, frame->data.get()));
-  frame->pin_count = 1;
-  Frame* raw = frame.get();
-  frames_.emplace(id, std::move(frame));
-  *handle = PageHandle(this, raw, raw->data.get());
+  // Not zeroed: the store read overwrites every byte.
+  frame->data.reset(new char[store_->page_size()]);
+  Status read = store_->Read(id, frame->data.get());
+
+  WriterMutexLock lock(part.mu);
+  auto it = part.frames.find(id);
+  if (it != part.frames.end()) {
+    Hit(part, it->second.get(), handle);  // another miss inserted it first
+    return Status::OK();
+  }
+  part.misses.fetch_add(1, std::memory_order_relaxed);
+  if (read.ok() && part.drops != drops) {
+    read = store_->Read(id, frame->data.get());
+  }
+  SVR_RETURN_NOT_OK(read);
+  frame->pin_count.store(1, std::memory_order_relaxed);
+  *handle = PageHandle(frame.get(), frame->data.get());
+  Insert(part, std::move(frame));
   return Status::OK();
 }
 
 Status BufferPool::NewPage(PageHandle* handle) {
-  MutexLock lock(mu_);
   SVR_ASSIGN_OR_RETURN(PageId id, store_->Allocate());
-  SVR_RETURN_NOT_OK(MakeRoom());
+  if (num_frames_.load(std::memory_order_relaxed) >= capacity_) {
+    SVR_RETURN_NOT_OK(MakeRoom());
+  }
   auto frame = std::make_unique<Frame>();
   frame->id = id;
-  frame->data = std::make_unique<char[]>(store_->page_size());
-  std::memset(frame->data.get(), 0, store_->page_size());
-  frame->pin_count = 1;
-  frame->dirty = true;
-  Frame* raw = frame.get();
-  frames_.emplace(id, std::move(frame));
-  *handle = PageHandle(this, raw, raw->data.get());
+  frame->data = std::make_unique<char[]>(store_->page_size());  // zeroed
+  frame->pin_count.store(1, std::memory_order_relaxed);
+  frame->dirty.store(true, std::memory_order_relaxed);
+  *handle = PageHandle(frame.get(), frame->data.get());
+  Partition& part = PartitionFor(id);
+  WriterMutexLock lock(part.mu);
+  Insert(part, std::move(frame));
   return Status::OK();
 }
 
@@ -108,76 +195,66 @@ Result<PageId> BufferPool::AllocateRun(uint32_t n) {
 }
 
 Status BufferPool::FreePage(PageId id) {
-  MutexLock lock(mu_);
-  auto it = frames_.find(id);
-  if (it != frames_.end()) {
-    Frame* f = it->second.get();
-    if (f->pin_count > 0) {
-      return Status::InvalidArgument("freeing a pinned page");
+  MutexLock lock(evict_mu_);
+  DrainPending();
+  Partition& part = PartitionFor(id);
+  {
+    WriterMutexLock part_lock(part.mu);
+    auto it = part.frames.find(id);
+    if (it != part.frames.end()) {
+      Frame* f = it->second.get();
+      if (f->pin_count.load(std::memory_order_acquire) > 0) {
+        return Status::InvalidArgument("freeing a pinned page");
+      }
+      Drop(part, f);
     }
-    LruUnlink(f);
-    frames_.erase(it);
   }
   return store_->Free(id);
 }
 
-void BufferPool::Unpin(Frame* frame) {
-  MutexLock lock(mu_);
-  assert(frame->pin_count > 0);
-  if (--frame->pin_count == 0) {
-    LruPushFront(frame);
-  }
-}
-
-Status BufferPool::MakeRoom() {
-  while (frames_.size() >= capacity_ && lru_tail_ != nullptr) {
-    Frame* victim = lru_tail_;
-    SVR_RETURN_NOT_OK(EvictFrame(victim));
-    LruUnlink(victim);
-    frames_.erase(victim->id);
-    ++stats_.evictions;
-  }
-  return Status::OK();
-}
-
-Status BufferPool::EvictFrame(Frame* frame) {
-  if (frame->dirty) {
-    SVR_RETURN_NOT_OK(store_->Write(frame->id, frame->data.get()));
-    ++stats_.writebacks;
-    frame->dirty = false;
-  }
-  return Status::OK();
-}
-
-Status BufferPool::FlushAllLocked() {
-  for (auto& [id, frame] : frames_) {
-    if (frame->dirty) {
-      SVR_RETURN_NOT_OK(store_->Write(id, frame->data.get()));
-      ++stats_.writebacks;
-      frame->dirty = false;
+Status BufferPool::FlushAll() {
+  for (Partition& part : partitions_) {
+    ReaderMutexLock lock(part.mu);
+    for (auto& [id, frame] : part.frames) {
+      SVR_RETURN_NOT_OK(WriteBack(part, frame.get()));
     }
   }
   return Status::OK();
-}
-
-Status BufferPool::FlushAll() {
-  MutexLock lock(mu_);
-  return FlushAllLocked();
 }
 
 Status BufferPool::EvictAll() {
-  MutexLock lock(mu_);
-  SVR_RETURN_NOT_OK(FlushAllLocked());
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    Frame* f = it->second.get();
-    if (f->pin_count == 0) {
-      LruUnlink(f);
-      it = frames_.erase(it);
-    } else {
-      ++it;
+  MutexLock lock(evict_mu_);
+  DrainPending();
+  for (Partition& part : partitions_) {
+    WriterMutexLock part_lock(part.mu);
+    for (auto it = part.frames.begin(); it != part.frames.end();) {
+      Frame* f = (it++)->second.get();
+      SVR_RETURN_NOT_OK(WriteBack(part, f));
+      if (f->pin_count.load(std::memory_order_acquire) == 0) Drop(part, f);
     }
   }
   return Status::OK();
+}
+
+BufferPoolStats BufferPool::stats() const {
+  BufferPoolStats s;
+  for (const Partition& part : partitions_) {
+    s.hits += part.hits.load(std::memory_order_relaxed);
+    s.misses += part.misses.load(std::memory_order_relaxed);
+    s.evictions += part.evictions.load(std::memory_order_relaxed);
+    s.writebacks += part.writebacks.load(std::memory_order_relaxed);
+  }
+  s.fetches = s.hits + s.misses;
+  return s;
+}
+
+void BufferPool::ResetStats() {
+  for (Partition& part : partitions_) {
+    part.hits.store(0, std::memory_order_relaxed);
+    part.misses.store(0, std::memory_order_relaxed);
+    part.evictions.store(0, std::memory_order_relaxed);
+    part.writebacks.store(0, std::memory_order_relaxed);
+  }
 }
 
 }  // namespace svr::storage

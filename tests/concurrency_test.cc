@@ -8,12 +8,15 @@
 //  - The whole engine under real threads: mixed insert/update/delete/
 //    content churn racing query threads with the background scheduler
 //    on; every validated top-k must match the brute-force oracle at its
-//    pinned ReadView (docs/concurrency.md). (This suite is also a TSan
-//    target in ci.sh.)
+//    pinned ReadView (docs/concurrency.md).
+//  - The buffer pool's partitioned pin path racing its CLOCK eviction
+//    through a 4-page pool: no reader ever sees another page's bytes.
+// (This suite is also a TSan target in ci.sh.)
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -613,10 +616,11 @@ TEST(MergeSchedulerTest, StopIsIdempotentAndRestartable) {
   engine->Stop();
 }
 
-// Regression (PR 7 static-analysis sweep): BufferPool::stats() and
-// PageStore::stats() used to read their counters without the lock, a
-// data race against any page IO. They now return a locked by-value
-// snapshot; this runs readers against live IO so the TSan leg proves it.
+// Regression: BufferPool::stats() and PageStore::stats() used to read
+// their counters without synchronization, a data race against any page
+// IO. The pool now sums per-partition atomic counters and the store
+// returns a locked by-value snapshot; this runs readers against live IO
+// so the TSan leg proves it.
 TEST(BufferPoolTest, StatsReadersRaceLiveIo) {
   storage::InMemoryPageStore store(256);
   storage::BufferPool pool(&store, 4);  // small: constant eviction
@@ -664,6 +668,94 @@ TEST(BufferPoolTest, StatsReadersRaceLiveIo) {
   const auto ps = pool.stats();
   EXPECT_GT(ps.evictions, 0u);
   EXPECT_GT(store.stats().writes, 0u);
+}
+
+// The partitioned pool's pin path under constant eviction. Readers pin
+// pages stamped with their own id: a hit takes one partition's reader
+// lock, a miss reads the store outside every pool lock and may race
+// another miss of the same page. Meanwhile writers allocate, release and
+// free pages through a 4-page pool, so the CLOCK hand never stops. A
+// wrong stamp means a reader was handed another page's frame, or a frame
+// was reused or erased while pinned.
+TEST(BufferPoolTest, PinsRaceEvictionWithoutTornPages) {
+  constexpr uint32_t kPageSize = 256;
+  storage::InMemoryPageStore store(kPageSize);
+  storage::BufferPool pool(&store, 4);
+  auto stamp_ok = [](const char* data, storage::PageId id) {
+    storage::PageId head, tail;
+    std::memcpy(&head, data, sizeof(head));
+    std::memcpy(&tail, data + kPageSize - sizeof(tail), sizeof(tail));
+    return head == id && tail == id;
+  };
+
+  constexpr int kStamped = 24;
+  std::vector<storage::PageId> stamped;
+  for (int i = 0; i < kStamped; ++i) {
+    storage::PageHandle h;
+    ASSERT_TRUE(pool.NewPage(&h).ok());
+    const storage::PageId id = h.id();
+    std::memcpy(h.mutable_data(), &id, sizeof(id));
+    std::memcpy(h.mutable_data() + kPageSize - sizeof(id), &id, sizeof(id));
+    stamped.push_back(id);
+  }
+  // Pinned across the whole run: eviction must never take it.
+  storage::PageHandle held;
+  ASSERT_TRUE(pool.NewPage(&held).ok());
+  const storage::PageId held_id = held.id();
+  std::memset(held.mutable_data(), 0x5A, kPageSize);
+
+  const int kReaderIters = kTsanBuild ? 3000 : 30000;
+  const int kWriterIters = kReaderIters / 4;
+  std::atomic<int> bad_stamps{0};
+  std::atomic<int> bad_frees{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kReaderIters; ++i) {
+        const storage::PageId id = stamped[(i * 7 + t * 5) % kStamped];
+        storage::PageHandle a, b;
+        ASSERT_TRUE(pool.Fetch(id, &a).ok());
+        // A second pin on the pinned page: always a hit.
+        ASSERT_TRUE(pool.Fetch(held_id, &b).ok());
+        if (!stamp_ok(a.data(), id) ||
+            b.data()[kPageSize - 1] != 0x5A) {
+          bad_stamps.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kWriterIters; ++i) {
+        storage::PageHandle h;
+        ASSERT_TRUE(pool.NewPage(&h).ok());
+        const storage::PageId id = h.id();
+        std::memset(h.mutable_data(), 0x33, kPageSize);
+        h.Release();
+        ASSERT_TRUE(pool.FreePage(id).ok());
+        if (i % 64 == 0 && !pool.FreePage(held_id).IsInvalidArgument()) {
+          bad_frees.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(bad_stamps.load(), 0);
+  EXPECT_EQ(bad_frees.load(), 0);
+  for (uint32_t i = 0; i < kPageSize; ++i) {
+    ASSERT_EQ(held.data()[i], 0x5A) << "byte " << i;
+  }
+  EXPECT_TRUE(pool.FreePage(held_id).IsInvalidArgument());
+  const auto ps = pool.stats();
+  EXPECT_GT(ps.evictions, 0u);
+  EXPECT_EQ(ps.fetches, ps.hits + ps.misses);
+  // Every stamp survived its evictions and re-reads.
+  for (storage::PageId id : stamped) {
+    storage::PageHandle h;
+    ASSERT_TRUE(pool.Fetch(id, &h).ok());
+    EXPECT_TRUE(stamp_ok(h.data(), id)) << "page " << id;
+  }
 }
 
 }  // namespace

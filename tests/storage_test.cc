@@ -187,6 +187,40 @@ TEST(BufferPoolTest, MoveHandleTransfersPin) {
   EXPECT_EQ(b.id(), id);
 }
 
+// CLOCK's second chance: with one victim to pick between two unpinned
+// pages, the one hit since it was loaded stays, wherever the hand starts.
+// Both orders are run, so a policy that ignores the reference bit fails
+// one of them.
+TEST(BufferPoolTest, SecondChanceKeepsHitPageOverUnreferencedOne) {
+  for (const bool hit_first : {true, false}) {
+    InMemoryPageStore store(256);
+    BufferPool pool(&store, 2);
+    PageId ids[2];
+    for (PageId& id : ids) {
+      PageHandle h;
+      ASSERT_TRUE(pool.NewPage(&h).ok());
+      id = h.id();
+    }
+    const PageId hit = hit_first ? ids[0] : ids[1];
+    const PageId cold = hit_first ? ids[1] : ids[0];
+    {
+      PageHandle h;
+      ASSERT_TRUE(pool.Fetch(hit, &h).ok());
+    }
+    {
+      PageHandle h;
+      ASSERT_TRUE(pool.NewPage(&h).ok());  // full: evicts one page
+    }
+    EXPECT_EQ(pool.stats().evictions, 1u);
+    pool.ResetStats();
+    PageHandle h;
+    ASSERT_TRUE(pool.Fetch(hit, &h).ok());
+    EXPECT_EQ(pool.stats().hits, 1u) << "hit_first=" << hit_first;
+    ASSERT_TRUE(pool.Fetch(cold, &h).ok());
+    EXPECT_EQ(pool.stats().misses, 1u) << "hit_first=" << hit_first;
+  }
+}
+
 // --- B+-tree -----------------------------------------------------------
 
 class BPlusTreeTest : public ::testing::Test {

@@ -7,7 +7,8 @@
 //    additive gauge registration.
 //  - Engine plumbing: a traced Search returns result-for-result what an
 //    untraced one does, slow queries land in the ring with a complete
-//    stage trace, DumpMetrics round-trips both formats, the sharded
+//    stage trace, DumpMetrics round-trips both formats, the buffer-pool
+//    counters reach the dump as pool.* gauges, the sharded
 //    engine's trace carries one span per shard, and the durable engine
 //    times its group-commit waits and checkpoints. (A TSan target in
 //    ci.sh.)
@@ -324,6 +325,39 @@ TEST(EngineTelemetryTest, DumpMetricsRoundTripsBothFormats) {
         "# TYPE svr_epoch_reclaim_pending gauge"}) {
     EXPECT_NE(prom.find(key), std::string::npos) << key;
   }
+  engine->Stop();
+}
+
+// The value a JSON dump prints for gauge `name`, or -1 when absent.
+double JsonGauge(const std::string& json, const std::string& name) {
+  const std::string key = "\"" + name + "\": ";
+  const size_t at = json.find(key);
+  if (at == std::string::npos) return -1.0;
+  return std::stod(json.substr(at + key.size()));
+}
+
+TEST(EngineTelemetryTest, BufferPoolCountersReachTheDump) {
+  core::SvrEngineOptions opt;
+  opt.telemetry.enabled = true;
+  auto engine_r = workload::SetupChurnEngine(opt, SmallConfig());
+  ASSERT_TRUE(engine_r.ok()) << engine_r.status().ToString();
+  auto engine = std::move(engine_r).value();
+
+  std::string json = engine->DumpMetrics(telemetry::DumpFormat::kJson);
+  for (const char* pool : {"list", "table"}) {
+    for (const char* counter : {"fetches", "hits", "misses", "evictions"}) {
+      const std::string name = std::string("pool.") + pool + "." + counter;
+      EXPECT_GE(JsonGauge(json, name), 0.0) << name;
+    }
+  }
+  const double hits_before = JsonGauge(json, "pool.table.hits");
+  // The row join and the Score-table probes pin table pages.
+  ASSERT_TRUE(engine->Search("t1 t2", 10).ok());
+  json = engine->DumpMetrics(telemetry::DumpFormat::kJson);
+  EXPECT_GT(JsonGauge(json, "pool.table.hits"), 0.0);
+  EXPECT_GT(JsonGauge(json, "pool.table.hits"), hits_before);
+  EXPECT_GE(JsonGauge(json, "pool.table.fetches"),
+            JsonGauge(json, "pool.table.hits"));
   engine->Stop();
 }
 

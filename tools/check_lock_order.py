@@ -56,6 +56,12 @@ DECLARED_EDGES = [
     ("svr_engine:legacy_mu_", "svr_engine:writer_mu_"),
     # Merge scheduler: lifecycle (start/stop) before its queue mutex.
     ("merge_scheduler:lifecycle_mu_", "merge_scheduler:mu_"),
+    # Buffer pool: the CLOCK ring's mutex, then a frame-table partition's
+    # mutex (``Partition::mu``); both may be held across a store read,
+    # write or free, which takes the page store's mutex.
+    ("buffer_pool:evict_mu_", "buffer_pool:mu"),
+    ("buffer_pool:mu", "page_store:mu_"),
+    ("buffer_pool:evict_mu_", "page_store:mu_"),
 ]
 
 # Per-shard mutex arrays: acquired [0..n) in ascending index, so a

@@ -67,7 +67,7 @@ if [ -n "$CLANGXX" ]; then
   note "clang thread-safety build ($CLANGXX)"
   if cmake -B "$CLANG_BUILD_DIR" -S . \
     -DCMAKE_CXX_COMPILER="$CLANGXX" > /dev/null \
-    && cmake --build "$CLANG_BUILD_DIR" -j --target svr; then
+    && cmake --build "$CLANG_BUILD_DIR" -j"$(nproc)" --target svr; then
     note "thread-safety build: OK"
   else
     fail "clang -Wthread-safety -Werror build of src/"
@@ -134,7 +134,7 @@ fi
 # --- 4. fuzz smoke ------------------------------------------------------
 note "fuzz smoke (FUZZ_ITERS=$FUZZ_ITERS per target)"
 if cmake -B "$FUZZ_BUILD_DIR" -S . > /dev/null \
-  && cmake --build "$FUZZ_BUILD_DIR" -j --target svr_fuzzers; then
+  && cmake --build "$FUZZ_BUILD_DIR" -j"$(nproc)" --target svr_fuzzers; then
   for target in fuzz_wal_frame fuzz_block_codec; do
     corpus="fuzz/corpus/${target#fuzz_}"
     if FUZZ_ITERS="$FUZZ_ITERS" "$FUZZ_BUILD_DIR/$target" "$corpus"/*; then
