@@ -3,13 +3,20 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "index/index_factory.h"
 #include "workload/experiment.h"
 #include "workload/params.h"
+
+// CMake defines it for the bench targets; other includers get a marker.
+#ifndef SVR_BUILD_TYPE
+#define SVR_BUILD_TYPE "unknown"
+#endif
 
 namespace svr::bench {
 
@@ -173,6 +180,52 @@ inline std::string Mb(uint64_t bytes) {
   std::snprintf(buf, sizeof(buf), "%.2f",
                 static_cast<double>(bytes) / (1024.0 * 1024.0));
   return buf;
+}
+
+/// Opens `path` for a BENCH_*.json artifact and writes its first two
+/// members: `"bench": name` and the `"context"` of the machine and build
+/// the numbers came from (cores, compiler, build type, git sha of the
+/// working directory's checkout, CPU MHz). Returns null, after saying
+/// why, when the file cannot be opened.
+inline std::FILE* OpenBenchJson(const std::string& path, const char* name) {
+  std::FILE* json = std::fopen(path.c_str(), "w");
+  if (json == nullptr) {
+    std::fprintf(stderr, "FATAL cannot open %s\n", path.c_str());
+    return nullptr;
+  }
+  std::string sha = "unknown";
+  if (std::FILE* git = popen("git rev-parse --short HEAD 2>/dev/null", "r")) {
+    char buf[64];
+    if (std::fgets(buf, sizeof(buf), git) != nullptr) {
+      sha = buf;
+      sha.erase(sha.find_last_not_of("\r\n") + 1);
+    }
+    pclose(git);
+  }
+  std::string mhz = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (line.rfind("cpu MHz", 0) == 0 && colon != std::string::npos) {
+      mhz = line.substr(colon + 2);
+      break;
+    }
+  }
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "g++ " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  std::fprintf(json,
+               "{\n  \"bench\": \"%s\",\n"
+               "  \"context\": {\"cores\": %u, \"compiler\": \"%s\", "
+               "\"build_type\": \"%s\", \"git_sha\": \"%s\", "
+               "\"cpu_mhz\": \"%s\"},\n",
+               name, std::thread::hardware_concurrency(), compiler,
+               SVR_BUILD_TYPE, sha.c_str(), mhz.c_str());
+  return json;
 }
 
 /// Fails loudly: benches must not silently report nonsense.

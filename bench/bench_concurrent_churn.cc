@@ -86,13 +86,9 @@ int main(int argc, char** argv) {
               cfg.initial_docs, cfg.writer_ops, cfg.query_threads,
               cfg.validate_every);
 
-  std::FILE* json = std::fopen(out_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "FATAL cannot open %s\n", out_path.c_str());
-    return 1;
-  }
+  std::FILE* json = OpenBenchJson(out_path, "concurrent_churn");
+  if (json == nullptr) return 1;
   std::fprintf(json,
-               "{\n  \"bench\": \"concurrent_churn\",\n"
                "  \"docs\": %u,\n  \"writer_ops\": %u,\n"
                "  \"query_threads\": %u,\n  \"validate_every\": %u,\n"
                "  \"series\": [",

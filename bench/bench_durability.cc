@@ -264,13 +264,9 @@ int main(int argc, char** argv) {
         static_cast<uint32_t>(std::atoll(s.c_str())));
   }
 
-  std::FILE* json = std::fopen(out_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "FATAL cannot open %s\n", out_path.c_str());
-    return 1;
-  }
+  std::FILE* json = OpenBenchJson(out_path, "durability");
+  if (json == nullptr) return 1;
   std::fprintf(json,
-               "{\n  \"bench\": \"durability\",\n"
                "  \"docs\": %u,\n  \"threads\": %u,\n"
                "  \"sync_delay_us\": %llu,\n  \"series\": [",
                shape.docs, threads,

@@ -99,13 +99,9 @@ int main(int argc, char** argv) {
       base.corpus.num_docs, base.corpus.terms_per_doc, rounds,
       upd_per_round, ins_per_round);
 
-  std::FILE* json = std::fopen(out_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "FATAL cannot open %s\n", out_path.c_str());
-    return 1;
-  }
+  std::FILE* json = OpenBenchJson(out_path, "merge_policy");
+  if (json == nullptr) return 1;
   std::fprintf(json,
-               "{\n  \"bench\": \"merge_policy\",\n"
                "  \"docs\": %u,\n  \"terms_per_doc\": %u,\n"
                "  \"rounds\": %u,\n  \"round_updates\": %u,\n"
                "  \"round_inserts\": %u,\n  \"list_page_ms\": %.3f,\n"

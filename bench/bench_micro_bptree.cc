@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -70,18 +71,20 @@ struct SnapshotTree {
 };
 std::unique_ptr<SnapshotTree> snapshot_tree;
 
-void BM_BPlusTreeSnapshotLookup(benchmark::State& state) {
-  if (state.thread_index() == 0) {
-    snapshot_tree = std::make_unique<SnapshotTree>();
-    SnapshotTree& t = *snapshot_tree;
-    t.tree = BPlusTree::CreateCow(&t.pool, nullptr).value();
-    Random fill(7);
-    for (int64_t i = 0; i < state.range(0); ++i) {
-      t.keys.push_back(Key(fill.Next()));
-      (void)t.tree->Put(t.keys.back(), "v");
-    }
-    t.snap = t.tree->Seal();
+void BuildSnapshotTree(int64_t n) {
+  snapshot_tree = std::make_unique<SnapshotTree>();
+  SnapshotTree& t = *snapshot_tree;
+  t.tree = BPlusTree::CreateCow(&t.pool, nullptr).value();
+  Random fill(7);
+  for (int64_t i = 0; i < n; ++i) {
+    t.keys.push_back(Key(fill.Next()));
+    (void)t.tree->Put(t.keys.back(), "v");
   }
+  t.snap = t.tree->Seal();
+}
+
+void BM_BPlusTreeSnapshotLookup(benchmark::State& state) {
+  if (state.thread_index() == 0) BuildSnapshotTree(state.range(0));
   size_t i = static_cast<size_t>(state.thread_index()) * 7919;
   std::string v;
   // The loop's first iteration waits for every thread, so thread 0's
@@ -95,6 +98,45 @@ void BM_BPlusTreeSnapshotLookup(benchmark::State& state) {
   if (state.thread_index() == 0) snapshot_tree.reset();
 }
 BENCHMARK(BM_BPlusTreeSnapshotLookup)
+    ->Arg(100000)
+    ->Threads(1)
+    ->Threads(4)
+    ->UseRealTime();
+
+// The same tree and probes through one Finger per thread, over a key
+// stream that ascends in runs: 64 keys a few entries apart, then a jump
+// to a random place — the order in which a Chunk query meets its
+// candidates within a chunk. The finger re-pins only when a key leaves
+// its pinned leaf, so the threads no longer share the root's pin count.
+void BM_BPlusTreeFingerLookup(benchmark::State& state) {
+  if (state.thread_index() == 0) {
+    BuildSnapshotTree(state.range(0));
+    std::sort(snapshot_tree->keys.begin(), snapshot_tree->keys.end());
+  }
+  Random rng(static_cast<uint64_t>(state.thread_index()) + 1);
+  size_t i = 0;
+  int run = 0;
+  // Created on the loop's first iteration, once thread 0's set-up is
+  // visible; destroyed before thread 0 tears the tree down.
+  std::unique_ptr<BPlusTree::Finger> finger;
+  for (auto _ : state) {
+    const SnapshotTree& t = *snapshot_tree;
+    if (finger == nullptr) {
+      finger = std::make_unique<BPlusTree::Finger>(t.tree.get(), t.snap);
+    }
+    if (run-- == 0 || i >= t.keys.size()) {
+      i = rng.Uniform(t.keys.size());
+      run = 63;
+    }
+    Slice v;
+    benchmark::DoNotOptimize(finger->Get(t.keys[i], &v));
+    i += 1 + rng.Uniform(8);
+  }
+  finger.reset();
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) snapshot_tree.reset();
+}
+BENCHMARK(BM_BPlusTreeFingerLookup)
     ->Arg(100000)
     ->Threads(1)
     ->Threads(4)

@@ -299,13 +299,10 @@ int main(int argc, char** argv) {
       workload::SetupShardedChurnEngine(eng_opt, corpus), "setup");
   Check(engine->Start(), "engine start");
 
-  std::FILE* json = std::fopen(out_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "FATAL cannot open %s\n", out_path.c_str());
-    return 1;
-  }
+  std::FILE* json = OpenBenchJson(out_path, "server");
+  if (json == nullptr) return 1;
   std::fprintf(json,
-               "{\n  \"bench\": \"server\",\n  \"docs\": %u,\n"
+               "  \"docs\": %u,\n"
                "  \"shards\": %u,\n  \"workers\": %u,\n"
                "  \"sync_delay_us\": %llu,\n  \"series\": [",
                docs, shards, workers,

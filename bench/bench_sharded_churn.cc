@@ -96,13 +96,9 @@ int main(int argc, char** argv) {
               cfg.initial_docs, run_ms, cfg.query_threads,
               cfg.validate_every);
 
-  std::FILE* json = std::fopen(out_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "FATAL cannot open %s\n", out_path.c_str());
-    return 1;
-  }
+  std::FILE* json = OpenBenchJson(out_path, "sharded_churn");
+  if (json == nullptr) return 1;
   std::fprintf(json,
-               "{\n  \"bench\": \"sharded_churn\",\n"
                "  \"docs\": %u,\n  \"run_ms\": %u,\n"
                "  \"query_threads\": %u,\n  \"validate_every\": %u,\n"
                "  \"method\": \"%s\",\n  \"series\": [",

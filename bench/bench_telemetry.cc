@@ -62,13 +62,9 @@ int main(int argc, char** argv) {
               "threads, best of %d reps per mode\n\n",
               cfg.initial_docs, cfg.writer_ops, cfg.query_threads, reps);
 
-  std::FILE* json = std::fopen(out_path.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "FATAL cannot open %s\n", out_path.c_str());
-    return 1;
-  }
+  std::FILE* json = OpenBenchJson(out_path, "telemetry");
+  if (json == nullptr) return 1;
   std::fprintf(json,
-               "{\n  \"bench\": \"telemetry\",\n"
                "  \"docs\": %u,\n  \"writer_ops\": %u,\n"
                "  \"query_threads\": %u,\n  \"reps\": %d,\n"
                "  \"series\": [",

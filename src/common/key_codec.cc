@@ -8,10 +8,7 @@ namespace {
 
 void AppendBigEndian32(std::string* dst, uint32_t v) {
   char buf[4];
-  buf[0] = static_cast<char>(v >> 24);
-  buf[1] = static_cast<char>(v >> 16);
-  buf[2] = static_cast<char>(v >> 8);
-  buf[3] = static_cast<char>(v);
+  EncodeKeyU32(buf, v);
   dst->append(buf, 4);
 }
 
@@ -58,6 +55,13 @@ double OrderedBitsToDouble(uint64_t bits) {
 }
 
 }  // namespace
+
+void EncodeKeyU32(char* dst, uint32_t v) {
+  dst[0] = static_cast<char>(v >> 24);
+  dst[1] = static_cast<char>(v >> 16);
+  dst[2] = static_cast<char>(v >> 8);
+  dst[3] = static_cast<char>(v);
+}
 
 void PutKeyU32(std::string* dst, uint32_t v) { AppendBigEndian32(dst, v); }
 void PutKeyU64(std::string* dst, uint64_t v) { AppendBigEndian64(dst, v); }

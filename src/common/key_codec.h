@@ -17,6 +17,8 @@ namespace svr {
 
 /// Appends `v` so that memcmp order == numeric order.
 void PutKeyU32(std::string* dst, uint32_t v);
+/// The same 4 bytes written to `dst[0..3]`, for keys built on the stack.
+void EncodeKeyU32(char* dst, uint32_t v);
 void PutKeyU64(std::string* dst, uint64_t v);
 
 /// Appends `v` so that memcmp order == *reverse* numeric order.

@@ -50,7 +50,8 @@ void QueryPool::RunAll(std::vector<std::function<void()>> tasks) {
     batch.remaining = tasks.size();
   }
 
-  // The calling thread keeps the last task for itself: with one worker
+  // The calling thread keeps the last task for itself, then takes back
+  // every task of its batch that no worker has started: with one worker
   // and one caller the scatter still runs two lanes, and a pool whose
   // workers are all busy with other batches cannot stall this one.
   std::function<void()> mine = std::move(tasks.back());
@@ -63,14 +64,28 @@ void QueryPool::RunAll(std::vector<std::function<void()>> tasks) {
   }
   work_cv_.NotifyAll();
 
-  mine();
-  {
-    MutexLock lock(batch.mu);
-    if (--batch.remaining == 0) batch.done_cv.NotifyAll();
+  Task task{std::move(mine), &batch};
+  while (task.fn) {
+    task.fn();
+    Finish(&task);
+    task = TakeQueued(&batch);
   }
 
+  // Only tasks a worker already started are left.
   MutexLock lock(batch.mu);
   while (batch.remaining != 0) batch.done_cv.Wait(batch.mu);
+}
+
+QueryPool::Task QueryPool::TakeQueued(Batch* batch) {
+  MutexLock lock(mu_);
+  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+    if (it->batch == batch) {
+      Task task = std::move(*it);
+      queue_.erase(it);
+      return task;
+    }
+  }
+  return Task{nullptr, batch};
 }
 
 }  // namespace svr::concurrency

@@ -16,9 +16,9 @@ namespace svr::concurrency {
 /// running the shards sequentially in the calling thread
 /// (docs/sharding.md). Many callers may RunAll() concurrently — tasks
 /// from different batches interleave freely on the workers, and the
-/// calling thread always participates in its own batch, so a pool of W
-/// workers gives a scatter W+1 lanes and can never deadlock on pool
-/// exhaustion.
+/// calling thread runs every task of its own batch that no worker has
+/// started, so a pool of W workers gives a scatter up to W+1 lanes and
+/// a batch never waits on a task queued behind other batches.
 class QueryPool {
  public:
   /// Spawns `workers` threads (0 is treated as 1).
@@ -28,8 +28,10 @@ class QueryPool {
   QueryPool(const QueryPool&) = delete;
   QueryPool& operator=(const QueryPool&) = delete;
 
-  /// Runs every task and returns once all of them completed. Tasks must
-  /// not themselves call RunAll on the same pool.
+  /// Runs every task and returns once all of them completed. The caller
+  /// runs one task, then each task of the batch still queued, and waits
+  /// only for tasks a worker already started. Tasks must not themselves
+  /// call RunAll on the same pool.
   void RunAll(std::vector<std::function<void()>> tasks) EXCLUDES(mu_);
 
   size_t workers() const { return workers_.size(); }
@@ -50,6 +52,9 @@ class QueryPool {
 
   void WorkerLoop() EXCLUDES(mu_);
   static void Finish(Task* task);
+  /// Removes and returns the first queued task of `batch`; an empty
+  /// `fn` when a worker has started all of them.
+  Task TakeQueued(Batch* batch) EXCLUDES(mu_);
 
   Mutex mu_;
   CondVar work_cv_;

@@ -235,16 +235,17 @@ IndexSnapshot ChunkIndexBase::SealSnapshot() {
 
 Status ChunkIndexBase::ListChunkOf(DocId doc, ChunkId* cid,
                                    bool* in_short) const {
-  return ListChunkOfAt(list_state_->LiveSnapshot(),
-                       ctx_.score_table->LiveView(), doc, cid, in_short);
+  IndexSnapshot live;
+  live.list_state = list_state_->LiveSnapshot();
+  live.score = ctx_.score_table->LiveSnapshot();
+  CandidateProbe probe(ctx_.score_table, list_state_.get(), live);
+  return ListChunkOfAt(&probe, doc, cid, in_short);
 }
 
-Status ChunkIndexBase::ListChunkOfAt(
-    const storage::TreeSnapshot& list_state,
-    const relational::ScoreTable::View& scores, DocId doc, ChunkId* cid,
-    bool* in_short) const {
+Status ChunkIndexBase::ListChunkOfAt(CandidateProbe* probe, DocId doc,
+                                     ChunkId* cid, bool* in_short) const {
   ListStateTable::Entry e;
-  Status st = list_state_->GetAt(list_state, doc, &e);
+  Status st = probe->ListState(doc, &e);
   if (st.ok()) {
     *cid = static_cast<ChunkId>(e.list_value);
     *in_short = e.in_short_list;
@@ -254,7 +255,8 @@ Status ChunkIndexBase::ListChunkOfAt(
   // Never-scored documents rank at 0.0, exactly as BuildLongLists placed
   // them — NotFound must not fail a content update on such a doc.
   double score = 0.0;
-  st = scores.Get(doc, &score);
+  bool deleted;
+  st = probe->Score(doc, &score, &deleted);
   if (!st.ok() && !st.IsNotFound()) return st;
   if (st.IsNotFound()) score = 0.0;
   *cid = chunker_->ChunkOf(score);
@@ -395,11 +397,11 @@ Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTermAt(
   // Reader phase against a sealed snapshot: mutates nothing a concurrent
   // query can see (the new blob stays unpublished until Install).
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
   const storage::BlobRef old_ref = snap.longs.Get(term);
   if (!old_ref.valid() && shorts.TermPostingCount(term) == 0) {
     return std::unique_ptr<TermMergePlan>();
   }
+  CandidateProbe probe(ctx_.score_table, list_state_.get(), snap);
   auto plan = std::make_unique<MergePlanImpl>(term);
   plan->short_version = shorts.TermVersion(term);
   plan->old_ref = old_ref;
@@ -428,7 +430,7 @@ Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTermAt(
         plan->from_short_docs.push_back(doc);
       } else {
         ListStateTable::Entry e;
-        Status st = list_state_->GetAt(snap.list_state, doc, &e);
+        Status st = probe.ListState(doc, &e);
         if (st.ok()) {
           live = !e.in_short_list ||
                  static_cast<ChunkId>(e.list_value) == cid;
@@ -439,7 +441,7 @@ Result<std::unique_ptr<TermMergePlan>> ChunkIndexBase::PrepareMergeTermAt(
       if (live) {
         double score;
         bool deleted = false;
-        Status st = scores.GetWithDeleted(doc, &score, &deleted);
+        Status st = probe.Score(doc, &score, &deleted);
         if (!st.ok() && !st.IsNotFound()) return st;
         if (st.ok() && deleted) live = false;
       }
@@ -612,15 +614,15 @@ Status ChunkIndexBase::MakeStreams(const IndexSnapshot& snap,
   return Status::OK();
 }
 
-Status ChunkIndexBase::JudgeCandidate(
-    const IndexSnapshot& snap, const relational::ScoreTable::View& scores,
-    DocId doc, ChunkId cid, bool from_short, bool* live,
-    double* current_score, bool* deleted, QueryStats* qs) {
+Status ChunkIndexBase::JudgeCandidate(CandidateProbe* probe, DocId doc,
+                                      ChunkId cid, bool from_short,
+                                      bool* live, double* current_score,
+                                      bool* deleted, QueryStats* qs) {
   *live = true;
   *deleted = false;
   if (!from_short) {
     ListStateTable::Entry e;
-    Status st = list_state_->GetAt(snap.list_state, doc, &e);
+    Status st = probe->ListState(doc, &e);
     if (st.ok() && e.in_short_list &&
         static_cast<ChunkId>(e.list_value) != cid) {
       // Stale long posting left at the chunk the doc moved away from;
@@ -633,8 +635,8 @@ Status ChunkIndexBase::JudgeCandidate(
   }
   // The Chunk family never stores scores in postings, so every live
   // candidate costs one Score-table probe (cheap: the table is small and
-  // cached, §5.3.1).
-  Status st = scores.GetWithDeleted(doc, current_score, deleted);
+  // cached, §5.3.1, and the probe's finger keeps the path pinned).
+  Status st = probe->Score(doc, current_score, deleted);
   ++qs->score_lookups;
   if (st.IsNotFound()) {
     // Never-scored doc: not a result candidate (the oracle skips these

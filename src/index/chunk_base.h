@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/versioned_array.h"
+#include "index/candidate_probe.h"
 #include "index/chunker.h"
 #include "index/list_state.h"
 #include "index/merge_policy.h"
@@ -131,10 +132,9 @@ class ChunkIndexBase : public TextIndex {
   Status BuildLongLists();
   float TsOf(DocId doc, TermId term) const;
 
-  /// ListChunkOf against snapshot views (lock-free query path).
-  Status ListChunkOfAt(const storage::TreeSnapshot& list_state,
-                       const relational::ScoreTable::View& scores,
-                       DocId doc, ChunkId* cid, bool* in_short) const;
+  /// ListChunkOf through a query's probe (lock-free query path).
+  Status ListChunkOfAt(CandidateProbe* probe, DocId doc, ChunkId* cid,
+                       bool* in_short) const;
 
   /// One merged stream per query term over `snap`, charging scan and
   /// cursor work to `qs` (the calling query's local counters). `scratch`
@@ -152,12 +152,11 @@ class ChunkIndexBase : public TextIndex {
   /// is stale exactly when it sits at a chunk other than the document's
   /// current list chunk (incrementally merged postings sit *at* it and
   /// are live; see docs/merge_policy.md). Probe work is charged to the
-  /// calling query's counters `qs`. Reads only the given snapshot views.
-  Status JudgeCandidate(const IndexSnapshot& snap,
-                        const relational::ScoreTable::View& scores,
-                        DocId doc, ChunkId cid, bool from_short,
-                        bool* live, double* current_score, bool* deleted,
-                        QueryStats* qs);
+  /// calling query's counters `qs`. Reads only through the query's
+  /// `probe`.
+  Status JudgeCandidate(CandidateProbe* probe, DocId doc, ChunkId cid,
+                        bool from_short, bool* live, double* current_score,
+                        bool* deleted, QueryStats* qs);
 
   IndexContext ctx_;
   ChunkIndexOptions options_;

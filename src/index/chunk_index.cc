@@ -23,7 +23,7 @@ Status ChunkIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
     if (query_stats != nullptr) *query_stats = qs;
     return Status::OK();
   }
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  CandidateProbe probe(ctx_.score_table, list_state_.get(), snap);
 
   std::vector<CursorScratch> scratch;
   std::vector<MergedChunkStream> streams;
@@ -35,8 +35,8 @@ Status ChunkIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
   auto offer = [&](DocId doc, ChunkId cid, bool from_short) -> Status {
     bool live, deleted;
     double curr;
-    SVR_RETURN_NOT_OK(JudgeCandidate(snap, scores, doc, cid, from_short,
-                                     &live, &curr, &deleted, &qs));
+    SVR_RETURN_NOT_OK(JudgeCandidate(&probe, doc, cid, from_short, &live,
+                                     &curr, &deleted, &qs));
     if (live && !deleted) {
       ++qs.candidates_considered;
       heap.Offer(doc, curr);

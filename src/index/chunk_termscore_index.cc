@@ -114,7 +114,7 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
         "Chunk-TermScore queries support at most 64 terms");
   }
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  CandidateProbe probe(ctx_.score_table, list_state_.get(), snap);
   const double tw = options_.term_scores.term_weight;
   const uint64_t full_mask =
       n_terms == 64 ? ~0ull : ((1ull << n_terms) - 1);
@@ -171,8 +171,8 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
         if (still_contains_all && shorts.DocPostingCount(doc) > 0) {
           ChunkId l_chunk = 0;
           bool in_short = false;
-          SVR_RETURN_NOT_OK(ListChunkOfAt(snap.list_state, scores, doc,
-                                          &l_chunk, &in_short));
+          SVR_RETURN_NOT_OK(
+              ListChunkOfAt(&probe, doc, &l_chunk, &in_short));
           for (TermId t : query.terms) {
             if (shorts.TermPostingCount(t) > 0 &&
                 shorts.Contains(t, static_cast<double>(l_chunk), doc)) {
@@ -184,7 +184,7 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
         if (still_contains_all && !short_governs) {
           double svr;
           bool deleted;
-          Status st = scores.GetWithDeleted(doc, &svr, &deleted);
+          Status st = probe.Score(doc, &svr, &deleted);
           ++qs.score_lookups;
           if (st.ok() && !deleted) {
             ++qs.candidates_considered;
@@ -259,7 +259,7 @@ Status ChunkTermScoreIndex::TopKAt(const IndexSnapshot& snap,
 
       bool live, deleted;
       double svr;
-      SVR_RETURN_NOT_OK(JudgeCandidate(snap, scores, min_doc, current,
+      SVR_RETURN_NOT_OK(JudgeCandidate(&probe, min_doc, current,
                                        from_short, &live, &svr, &deleted,
                                        &qs));
       if (live && !deleted) {

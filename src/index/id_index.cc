@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "index/candidate_probe.h"
 #include "index/merge_policy.h"
 #include "index/posting_cursor.h"
 #include "index/result_heap.h"
@@ -239,11 +240,11 @@ Result<std::unique_ptr<TermMergePlan>> IdIndex::PrepareMergeTermAt(
   // Reader phase against a sealed snapshot: mutates nothing a concurrent
   // query can see (the new blob stays unpublished until Install).
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
   const storage::BlobRef old_ref = snap.longs.Get(term);
   if (!old_ref.valid() && shorts.TermPostingCount(term) == 0) {
     return std::unique_ptr<TermMergePlan>();  // nothing on either side
   }
+  CandidateProbe probe(ctx_.score_table, /*list_state=*/nullptr, snap);
   auto plan = std::make_unique<MergePlanImpl>(term);
   plan->short_version = shorts.TermVersion(term);
   plan->old_ref = old_ref;
@@ -265,7 +266,7 @@ Result<std::unique_ptr<TermMergePlan>> IdIndex::PrepareMergeTermAt(
     while (stream.Valid()) {
       double score;
       bool deleted = false;
-      Status st = scores.GetWithDeleted(stream.doc(), &score, &deleted);
+      Status st = probe.Score(stream.doc(), &score, &deleted);
       if (!st.ok() && !st.IsNotFound()) return st;
       if (!(st.ok() && deleted)) {
         merged.push_back({stream.doc(), stream.term_score()});
@@ -387,7 +388,7 @@ Status IdIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
     return Status::OK();
   }
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  CandidateProbe probe(ctx_.score_table, /*list_state=*/nullptr, snap);
 
   // One scratch block per stream, owned here: the whole query decodes
   // into these buffers with no per-posting allocation.
@@ -408,7 +409,7 @@ Status IdIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
   auto offer = [&](DocId doc, double ts_sum) -> Status {
     double svr;
     bool deleted;
-    Status st = scores.GetWithDeleted(doc, &svr, &deleted);
+    Status st = probe.Score(doc, &svr, &deleted);
     ++qs.score_lookups;
     if (st.IsNotFound()) return Status::OK();  // never scored: skip
     SVR_RETURN_NOT_OK(st);

@@ -15,7 +15,7 @@ std::string DocKey(DocId doc) {
   return k;
 }
 
-Status ParseEntry(const std::string& v, ListStateTable::Entry* entry) {
+Status ParseEntry(const Slice& v, ListStateTable::Entry* entry) {
   if (v.size() != 9) return Status::Corruption("bad list-state entry");
   entry->list_value = DecodeFixedDouble(v.data());
   entry->in_short_list = v[8] != 0;
@@ -42,13 +42,14 @@ Status ListStateTable::Put(DocId doc, const Entry& entry) {
 }
 
 Status ListStateTable::Get(DocId doc, Entry* entry) const {
-  return GetAt(tree_->LiveSnapshot(), doc, entry);
+  return Finger(this, tree_->LiveSnapshot()).Get(doc, entry);
 }
 
-Status ListStateTable::GetAt(const storage::TreeSnapshot& snap, DocId doc,
-                             Entry* entry) const {
-  std::string v;
-  SVR_RETURN_NOT_OK(tree_->GetAt(snap, DocKey(doc), &v));
+Status ListStateTable::Finger::Get(DocId doc, Entry* entry) {
+  char key[4];
+  EncodeKeyU32(key, doc);
+  Slice v;
+  SVR_RETURN_NOT_OK(finger_.Get(Slice(key, sizeof(key)), &v));
   return ParseEntry(v, entry);
 }
 

@@ -37,9 +37,24 @@ class ListStateTable {
   /// NotFound if the doc's score was never updated.
   Status Get(DocId doc, Entry* entry) const;
 
-  /// Same probe against a sealed version (lock-free snapshot reads).
-  Status GetAt(const storage::TreeSnapshot& snap, DocId doc,
-               Entry* entry) const;
+  /// \brief Point-probe cursor over one version — the lock-free
+  /// snapshot read path — for a query's stream of list-state lookups
+  /// (see storage::BPlusTree::Finger). A null
+  /// table reads empty, for methods that keep no list state. Lives
+  /// inside the read view that pins the version; never shared between
+  /// threads (docs/concurrency.md).
+  class Finger {
+   public:
+    Finger(const ListStateTable* table, const storage::TreeSnapshot& snap)
+        : finger_(table != nullptr ? table->tree_.get() : nullptr,
+                  table != nullptr ? snap : storage::TreeSnapshot()) {}
+
+    /// NotFound if the doc's score was never updated.
+    Status Get(DocId doc, Entry* entry);
+
+   private:
+    storage::BPlusTree::Finger finger_;
+  };
 
   /// Drops the entry (offline merges, and the fully-merged sweep that
   /// retires stale in_short entries — docs/merge_policy.md).

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/key_codec.h"
+#include "index/candidate_probe.h"
 #include "index/result_heap.h"
 
 namespace svr::index {
@@ -180,7 +181,7 @@ Status ScoreIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
     if (query_stats != nullptr) *query_stats = qs;
     return Status::OK();
   }
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  CandidateProbe probe(ctx_.score_table, /*list_state=*/nullptr, snap);
   const bool has_deletions = snap.has_deletions;
 
   std::vector<TermCursor> cursors;
@@ -198,7 +199,7 @@ Status ScoreIndex::TopKAt(const IndexSnapshot& snap, const Query& query,
     if (has_deletions || score == 0.0) {
       double s;
       bool deleted = false;
-      Status st = scores.GetWithDeleted(doc, &s, &deleted);
+      Status st = probe.Score(doc, &s, &deleted);
       if (!st.ok() && !st.IsNotFound()) return st;
       ++qs.score_lookups;
       if (st.IsNotFound() || deleted) return Status::OK();

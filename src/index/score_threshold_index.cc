@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "index/candidate_probe.h"
 #include "index/merge_policy.h"
 #include "index/posting_cursor.h"
 #include "index/result_heap.h"
@@ -189,17 +190,8 @@ IndexSnapshot ScoreThresholdIndex::SealSnapshot() {
 
 Status ScoreThresholdIndex::ListScoreOf(DocId doc, double* list_score,
                                         bool* in_short) const {
-  return ListScoreOfAt(list_state_->LiveSnapshot(),
-                       ctx_.score_table->LiveView(), doc, list_score,
-                       in_short);
-}
-
-Status ScoreThresholdIndex::ListScoreOfAt(
-    const storage::TreeSnapshot& list_state,
-    const relational::ScoreTable::View& scores, DocId doc,
-    double* list_score, bool* in_short) const {
   ListStateTable::Entry e;
-  Status st = list_state_->GetAt(list_state, doc, &e);
+  Status st = list_state_->Get(doc, &e);
   if (st.ok()) {
     *list_score = e.list_value;
     *in_short = e.in_short_list;
@@ -209,7 +201,7 @@ Status ScoreThresholdIndex::ListScoreOfAt(
   // Never-scored documents rank at 0.0, exactly as BuildLongLists placed
   // them — NotFound must not fail a content update on such a doc.
   *list_score = 0.0;
-  st = scores.Get(doc, list_score);
+  st = ctx_.score_table->Get(doc, list_score);
   if (!st.ok() && !st.IsNotFound()) return st;
   *in_short = false;
   return Status::OK();
@@ -341,11 +333,11 @@ ScoreThresholdIndex::PrepareMergeTermAt(const IndexSnapshot& snap,
   // Reader phase against a sealed snapshot: mutates nothing a concurrent
   // query can see (the new blob stays unpublished until Install).
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
   const storage::BlobRef old_ref = snap.longs.Get(term);
   if (!old_ref.valid() && shorts.TermPostingCount(term) == 0) {
     return std::unique_ptr<TermMergePlan>();
   }
+  CandidateProbe probe(ctx_.score_table, list_state_.get(), snap);
   auto plan = std::make_unique<MergePlanImpl>(term);
   plan->short_version = shorts.TermVersion(term);
   plan->old_ref = old_ref;
@@ -374,7 +366,7 @@ ScoreThresholdIndex::PrepareMergeTermAt(const IndexSnapshot& snap,
         plan->from_short_docs.push_back(doc);
       } else {
         ListStateTable::Entry e;
-        Status st = list_state_->GetAt(snap.list_state, doc, &e);
+        Status st = probe.ListState(doc, &e);
         if (st.ok()) {
           live = !e.in_short_list || e.list_value == stream.score();
         } else if (!st.IsNotFound()) {
@@ -384,7 +376,7 @@ ScoreThresholdIndex::PrepareMergeTermAt(const IndexSnapshot& snap,
       if (live) {
         double score;
         bool deleted = false;
-        Status st = scores.GetWithDeleted(doc, &score, &deleted);
+        Status st = probe.Score(doc, &score, &deleted);
         if (!st.ok() && !st.IsNotFound()) return st;
         if (st.ok() && deleted) live = false;
       }
@@ -536,7 +528,7 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
     return Status::OK();
   }
   const ShortList::View shorts(short_list_.get(), snap.short_list);
-  const relational::ScoreTable::View scores(ctx_.score_table, snap.score);
+  CandidateProbe probe(ctx_.score_table, list_state_.get(), snap);
   const bool has_deletions = snap.has_deletions;
 
   std::vector<ScoreCursorScratch> scratch(query.terms.size());
@@ -567,7 +559,7 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
     bool deleted = false;
     bool skip = false;
     if (from_short) {
-      Status st = scores.GetWithDeleted(pos.doc, &curr, &deleted);
+      Status st = probe.Score(pos.doc, &curr, &deleted);
       // Never-scored docs are not result candidates (the oracle skips
       // them too) — but their postings must not kill the query.
       if (st.IsNotFound()) {
@@ -578,7 +570,7 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
       ++qs.score_lookups;
     } else {
       ListStateTable::Entry e;
-      Status st = list_state_->GetAt(snap.list_state, pos.doc, &e);
+      Status st = probe.ListState(pos.doc, &e);
       if (st.ok()) {
         if (e.in_short_list && e.list_value != pos.score) {
           // Stale long posting at the score the doc moved away from; the
@@ -586,7 +578,7 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
           // doc's current list score) governs.
           skip = true;
         } else {
-          Status st2 = scores.GetWithDeleted(pos.doc, &curr, &deleted);
+          Status st2 = probe.Score(pos.doc, &curr, &deleted);
           if (!st2.ok() && !st2.IsNotFound()) return st2;
           ++qs.score_lookups;
         }
@@ -598,7 +590,7 @@ Status ScoreThresholdIndex::TopKAt(const IndexSnapshot& snap,
         curr = pos.score;
         if (has_deletions || pos.score == 0.0) {
           double s;
-          Status st2 = scores.GetWithDeleted(pos.doc, &s, &deleted);
+          Status st2 = probe.Score(pos.doc, &s, &deleted);
           if (st2.IsNotFound()) {
             skip = true;  // never-scored: not a candidate
           } else if (!st2.ok()) {

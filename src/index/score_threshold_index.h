@@ -90,9 +90,6 @@ class ScoreThresholdIndex final : public TextIndex {
   struct MergePlanImpl;
 
   Status BuildLongLists();
-  Status ListScoreOfAt(const storage::TreeSnapshot& list_state,
-                       const relational::ScoreTable::View& scores,
-                       DocId doc, double* list_score, bool* in_short) const;
 
   IndexContext ctx_;
   ScoreThresholdOptions options_;

@@ -20,7 +20,7 @@ std::string ScoreValue(double score, bool deleted) {
   return v;
 }
 
-Status ParseScoreValue(const std::string& v, double* score, bool* deleted) {
+Status ParseScoreValue(const Slice& v, double* score, bool* deleted) {
   if (v.size() != 9) return Status::Corruption("bad score entry");
   *score = DecodeFixedDouble(v.data());
   *deleted = v[8] != 0;
@@ -35,10 +35,9 @@ Status ScanTree(const storage::BPlusTree* tree,
     Slice k = it->key();
     DocId doc;
     if (!GetKeyU32(&k, &doc)) return Status::Corruption("bad score key");
-    std::string v = it->value().ToString();
     double score = 0.0;
     bool deleted = false;
-    SVR_RETURN_NOT_OK(ParseScoreValue(v, &score, &deleted));
+    SVR_RETURN_NOT_OK(ParseScoreValue(it->value(), &score, &deleted));
     if (!fn(doc, score, deleted)) break;
     it->Next();
   }
@@ -68,9 +67,7 @@ Status ScoreTable::Get(DocId doc, double* score) const {
 
 Status ScoreTable::GetWithDeleted(DocId doc, double* score,
                                   bool* deleted) const {
-  std::string v;
-  SVR_RETURN_NOT_OK(tree_->Get(DocKey(doc), &v));
-  return ParseScoreValue(v, score, deleted);
+  return LiveView().GetWithDeleted(doc, score, deleted);
 }
 
 Status ScoreTable::MarkDeleted(DocId doc) {
@@ -94,8 +91,15 @@ Status ScoreTable::View::Get(DocId doc, double* score) const {
 
 Status ScoreTable::View::GetWithDeleted(DocId doc, double* score,
                                         bool* deleted) const {
-  std::string v;
-  SVR_RETURN_NOT_OK(table_->tree_->GetAt(snap_, DocKey(doc), &v));
+  return Finger(table_, snap_).GetWithDeleted(doc, score, deleted);
+}
+
+Status ScoreTable::Finger::GetWithDeleted(DocId doc, double* score,
+                                          bool* deleted) {
+  char key[4];
+  EncodeKeyU32(key, doc);
+  Slice v;
+  SVR_RETURN_NOT_OK(finger_.Get(Slice(key, sizeof(key)), &v));
   return ParseScoreValue(v, score, deleted);
 }
 

@@ -67,8 +67,25 @@ class ScoreTable {
     storage::TreeSnapshot snap_;
   };
 
-  /// View over the current (unsealed) contents — exclusive access only.
-  View LiveView() const { return View(this, tree_->LiveSnapshot()); }
+  /// \brief Point-probe cursor over one version for a query's stream
+  /// of Score lookups: a storage::BPlusTree::Finger that keeps the last
+  /// probe's path pinned, with doc keys encoded on the stack. Lives
+  /// inside the read view that pins the version; never shared between
+  /// threads (docs/concurrency.md).
+  class Finger {
+   public:
+    Finger(const ScoreTable* table, const storage::TreeSnapshot& snap)
+        : finger_(table->tree_.get(), snap) {}
+
+    Status GetWithDeleted(DocId doc, double* score, bool* deleted);
+
+   private:
+    storage::BPlusTree::Finger finger_;
+  };
+
+  /// The current (unsealed) version — exclusive access only.
+  storage::TreeSnapshot LiveSnapshot() const { return tree_->LiveSnapshot(); }
+  View LiveView() const { return View(this, LiveSnapshot()); }
 
   uint64_t size() const { return tree_->size(); }
   uint64_t SizeBytes() const { return tree_->SizeBytes(); }

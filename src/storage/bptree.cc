@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <new>
 
 #include "common/coding.h"
 
@@ -323,45 +324,20 @@ Status BPlusTree::FreeNodePage(PageId id) {
   return pool_->FreePage(id);
 }
 
-Status BPlusTree::FindLeaf(PageId from, const Slice& key, PageHandle* leaf,
-                           std::vector<PathEntry>* path) const {
-  PageId current = from;
-  while (true) {
-    PageHandle h;
-    SVR_RETURN_NOT_OK(pool_->Fetch(current, &h));
-    NodeView node(const_cast<char*>(h.data()), pool_->page_size());
-    if (node.leaf()) {
-      *leaf = std::move(h);
-      return Status::OK();
-    }
-    int slot = node.UpperBound(key);
-    PageId child;
-    if (slot < node.nslots()) {
-      child = node.Child(slot);
-      if (path != nullptr) path->push_back({current, slot});
-    } else {
-      child = node.rightmost();
-      if (path != nullptr) path->push_back({current, -1});
-    }
-    current = child;
-  }
-}
-
 Status BPlusTree::FindLeafForWrite(const Slice& key, PageHandle* leaf,
                                    std::vector<PathEntry>* path) {
-  if (!cow_) return FindLeaf(root_, key, leaf, path);
-
-  // Shadowed descent: every page on the path ends up private, relinked
-  // in its (already private) parent before we step into it, so the
-  // caller and InsertIntoParent/RemoveFromParent may mutate any of them
-  // in place. Sealed versions keep the originals.
+  // Shadowed descent (COW): every page on the path ends up private,
+  // relinked in its (already private) parent before we step into it, so
+  // the caller and InsertIntoParent/RemoveFromParent may mutate any of
+  // them in place. Sealed versions keep the originals. In place, every
+  // page is private and the descent is a plain one.
   PageId current = root_;
   PageHandle parent;  // pinned private parent of `current`
   int parent_slot = -1;
   while (true) {
     PageHandle h;
     SVR_RETURN_NOT_OK(pool_->Fetch(current, &h));
-    if (private_pages_.count(current) == 0) {
+    if (!IsPrivate(current)) {
       PageHandle copy;
       SVR_RETURN_NOT_OK(pool_->NewPage(&copy));
       std::memcpy(copy.mutable_data(), h.data(), pool_->page_size());
@@ -381,22 +357,72 @@ Status BPlusTree::FindLeafForWrite(const Slice& key, PageHandle* leaf,
       current = copy.id();
       h = std::move(copy);
     }
-    NodeView node(h.mutable_data(), pool_->page_size());
+    // Routing only reads; the caller marks what it mutates dirty.
+    NodeView node(const_cast<char*>(h.data()), pool_->page_size());
     if (node.leaf()) {
       *leaf = std::move(h);
       return Status::OK();
     }
     int slot = node.UpperBound(key);
     if (slot < node.nslots()) {
-      if (path != nullptr) path->push_back({current, slot});
+      path->push_back({current, slot});
       parent_slot = slot;
       current = node.Child(slot);
     } else {
-      if (path != nullptr) path->push_back({current, -1});
+      path->push_back({current, -1});
       parent_slot = -1;
       current = node.rightmost();
     }
     parent = std::move(h);
+  }
+}
+
+Status BPlusTree::Finger::Push(PageId id, const Slice& lo, const Slice& hi,
+                               bool has_hi) {
+  Level* level = new (&slots_[depth_].level) Level{PageHandle(), lo, hi,
+                                                   has_hi};
+  Status st = tree_->pool_->Fetch(id, &level->page);
+  if (!st.ok()) {
+    level->~Level();
+    return st;
+  }
+  ++depth_;
+  return Status::OK();
+}
+
+Status BPlusTree::Finger::Get(const Slice& key, Slice* value) {
+  if (root_ == kInvalidPageId) return Status::NotFound("key not in tree");
+  // Levels nest, so the deepest one that covers `key` is where the
+  // descent resumes; everything below it is released.
+  while (depth_ > 0 && (key.compare(top().lo) < 0 ||
+                        (top().has_hi && key.compare(top().hi) >= 0))) {
+    Pop();
+  }
+  if (depth_ == 0) {
+    SVR_RETURN_NOT_OK(Push(root_, Slice(), Slice(), /*has_hi=*/false));
+  }
+  const uint32_t page_size = tree_->pool_->page_size();
+  while (true) {
+    const Level& parent = top();
+    NodeView node(const_cast<char*>(parent.page.data()), page_size);
+    if (node.leaf()) {
+      bool exact;
+      const int slot = node.LowerBound(key, &exact);
+      if (!exact) return Status::NotFound("key not in tree");
+      *value = node.Value(slot);
+      return Status::OK();
+    }
+    if (depth_ == kMaxDepth) {
+      return Status::Corruption("B+-tree deeper than a finger's path");
+    }
+    // Child `slot` routes [Key(slot - 1), Key(slot)); the outermost
+    // children inherit the parent's own fence on their open side.
+    const int slot = node.UpperBound(key);
+    const bool inner_hi = slot < node.nslots();
+    SVR_RETURN_NOT_OK(Push(node.ChildAt(slot),
+                           slot > 0 ? node.Key(slot - 1) : parent.lo,
+                           inner_hi ? node.Key(slot) : parent.hi,
+                           inner_hi || parent.has_hi));
   }
 }
 
@@ -406,14 +432,9 @@ Status BPlusTree::Get(const Slice& key, std::string* value) const {
 
 Status BPlusTree::GetAt(const TreeSnapshot& snap, const Slice& key,
                         std::string* value) const {
-  if (!snap.valid()) return Status::NotFound("key not in tree");
-  PageHandle leaf;
-  SVR_RETURN_NOT_OK(FindLeaf(snap.root, key, &leaf, nullptr));
-  NodeView node(const_cast<char*>(leaf.data()), pool_->page_size());
-  bool exact;
-  int slot = node.LowerBound(key, &exact);
-  if (!exact) return Status::NotFound("key not in tree");
-  Slice v = node.Value(slot);
+  Finger finger(this, snap);
+  Slice v;
+  SVR_RETURN_NOT_OK(finger.Get(key, &v));
   value->assign(v.data(), v.size());
   return Status::OK();
 }
@@ -604,13 +625,11 @@ Status BPlusTree::Delete(const Slice& key) {
   if (cow_) {
     // Probe read-only first: a miss must not shadow (and retire) the
     // whole descent path for nothing — NotFound deletes are common on
-    // the score-update path.
-    PageHandle probe;
-    SVR_RETURN_NOT_OK(FindLeaf(root_, key, &probe, nullptr));
-    NodeView pn(const_cast<char*>(probe.data()), pool_->page_size());
-    bool present;
-    pn.LowerBound(key, &present);
-    if (!present) return Status::NotFound("key not in tree");
+    // the score-update path. The probe's pins go before the shadowing
+    // descent, which may free the pages it read.
+    Finger probe(this, LiveSnapshot());
+    Slice ignored;
+    SVR_RETURN_NOT_OK(probe.Get(key, &ignored));
   }
   std::vector<PathEntry> path;
   PageHandle leaf;

@@ -152,8 +152,73 @@ class BPlusTree {
   /// Returns an iterator positioned at the first entry.
   std::unique_ptr<Iterator> Begin() const;
 
+  /// \brief Point-lookup cursor over one tree version that keeps its
+  /// last root-to-leaf path pinned. Each level carries the key range
+  /// [lo, hi) its page covers, fenced by the parent's separators, so a
+  /// probe drops levels only until one covers the key and re-descends
+  /// from there: a stream of nearby keys re-pins a page when it leaves
+  /// the current leaf, not the root and inner pages on every probe.
+  ///
+  /// Lifetime (docs/concurrency.md): a finger over a sealed snapshot
+  /// lives inside the read view that pins that version, and a finger
+  /// over an in-place tree must not live across a mutation. A finger
+  /// is never shared between threads. It holds at most one pin per
+  /// level of the path to its last probe's leaf.
+  class Finger {
+   public:
+    /// An invalid snapshot reads empty (`tree` may then be null).
+    Finger(const BPlusTree* tree, const TreeSnapshot& snap)
+        : tree_(tree), root_(snap.valid() ? snap.root : kInvalidPageId) {}
+    ~Finger() {
+      while (depth_ > 0) Pop();
+    }
+    Finger(const Finger&) = delete;
+    Finger& operator=(const Finger&) = delete;
+
+    /// Looks up `key`; Status::NotFound if absent. On success `*value`
+    /// points into the pinned leaf and stays valid until the next Get
+    /// or the finger's destruction.
+    Status Get(const Slice& key, Slice* value);
+
+    /// Pages currently pinned: the levels of the last probe's path.
+    int pinned() const { return depth_; }
+
+   private:
+    /// Fanout is at least 2 below the root, so a tree this deep would
+    /// need more than 2^31 entries.
+    static constexpr int kMaxDepth = 32;
+    /// One pinned level: its page and the key range [lo, hi) it covers,
+    /// lo inclusive (empty = unbounded, as every key is >= ""), hi
+    /// exclusive when has_hi. The fences point into the pinned parent
+    /// page (sealed pages never change under a pin).
+    struct Level {
+      PageHandle page;
+      Slice lo;
+      Slice hi;
+      bool has_hi;
+    };
+    /// Storage for one Level, alive only while below depth_: a one-shot
+    /// finger constructs and destroys only the levels it descends.
+    union Slot {
+      Slot() {}
+      ~Slot() {}
+      Level level;
+    };
+
+    Level& top() { return slots_[depth_ - 1].level; }
+    /// Pins `id` as the next level with the given fences.
+    Status Push(PageId id, const Slice& lo, const Slice& hi, bool has_hi);
+    void Pop() { slots_[--depth_].level.~Level(); }
+
+    const BPlusTree* tree_;
+    PageId root_;
+    int depth_ = 0;
+    Slot slots_[kMaxDepth];
+  };
+
   // --- snapshot reads (lock-free against the writer; COW mode) --------
-  /// Get against a sealed snapshot. An invalid snapshot reads empty.
+  /// Get against a sealed snapshot: a one-shot Finger. An invalid
+  /// snapshot reads empty.
   Status GetAt(const TreeSnapshot& snap, const Slice& key,
                std::string* value) const;
   std::unique_ptr<Iterator> SeekAt(const TreeSnapshot& snap,
@@ -174,19 +239,17 @@ class BPlusTree {
   BPlusTree(BufferPool* pool, PageId root, uint64_t size, uint64_t num_pages)
       : pool_(pool), root_(root), size_(size), num_pages_(num_pages) {}
 
-  // Descends to the leaf that owns `key` starting at `from`; fills
-  // `path` with (page, slot) pairs for the internal nodes visited
-  // (slot = index of followed entry, or -1 for the rightmost pointer).
+  // One internal node of a write descent: slot = index of the followed
+  // entry, or -1 for the rightmost pointer.
   struct PathEntry {
     PageId page;
     int slot;
   };
-  Status FindLeaf(PageId from, const Slice& key, PageHandle* leaf,
-                  std::vector<PathEntry>* path) const;
-  /// FindLeaf for mutations: in COW mode shadows every shared page on
-  /// the descent (copy, relink in the already-shadowed parent, retire
-  /// the original), so the caller may mutate any page on `path` and the
-  /// returned leaf in place.
+  // Descends to the leaf that owns `key` for a mutation, filling `path`
+  // with the internal nodes visited. In COW mode it shadows every shared
+  // page on the descent (copy, relink in the already-shadowed parent,
+  // retire the original), so the caller may mutate any page on `path`
+  // and the returned leaf in place. Reads descend through Finger.
   Status FindLeafForWrite(const Slice& key, PageHandle* leaf,
                           std::vector<PathEntry>* path);
 

@@ -15,14 +15,6 @@ PageHandle& PageHandle::operator=(PageHandle&& other) noexcept {
   return *this;
 }
 
-void PageHandle::Release() {
-  if (frame_ != nullptr) {
-    BufferPool::Unpin(frame_);
-    frame_ = nullptr;
-    data_ = nullptr;
-  }
-}
-
 BufferPool::BufferPool(PageStore* store, uint64_t capacity_pages)
     : store_(store), capacity_(capacity_pages == 0 ? 1 : capacity_pages) {}
 

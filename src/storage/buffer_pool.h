@@ -67,9 +67,10 @@ class PageHandle {
 /// BerkeleyDB mpool cache (§5.2 of the paper used a 100 MB cache).
 ///
 /// Built so that a hit on a resident page takes no exclusive lock, writes
-/// no shared list and bumps no pool-wide counter: the Chunk method pins a
-/// Score-table root-to-leaf path for every candidate, from every query
-/// thread at once.
+/// no shared list and bumps no pool-wide counter: every query thread
+/// pins Score-table and list pages at once (a query's fingers keep their
+/// Score-table path pinned, but each leaf change and each list block
+/// still pins a page).
 ///
 ///  - The frame table is split into kPartitions partitions by hashed
 ///    PageId, each with its own SharedMutex, map and counters, padded to
@@ -226,6 +227,14 @@ struct PageHandle::Frame {
 
 inline PageId PageHandle::id() const {
   return frame_ != nullptr ? frame_->id : kInvalidPageId;
+}
+
+inline void PageHandle::Release() {
+  if (frame_ != nullptr) {
+    BufferPool::Unpin(frame_);
+    frame_ = nullptr;
+    data_ = nullptr;
+  }
 }
 
 inline char* PageHandle::mutable_data() {

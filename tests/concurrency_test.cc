@@ -16,16 +16,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/key_codec.h"
+#include "common/random.h"
 #include "concurrency/epoch.h"
 #include "concurrency/merge_scheduler.h"
+#include "concurrency/query_pool.h"
 #include "core/oracle.h"
 #include "core/svr_engine.h"
+#include "storage/bptree.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
 #include "workload/concurrent_driver.h"
@@ -756,6 +763,169 @@ TEST(BufferPoolTest, PinsRaceEvictionWithoutTornPages) {
     ASSERT_TRUE(pool.Fetch(id, &h).ok());
     EXPECT_TRUE(stamp_ok(h.data(), id)) << "page " << id;
   }
+}
+
+// Fingers over sealed snapshots of a copy-on-write tree, racing the tree's
+// writer and the CLOCK eviction of a table pool far smaller than the
+// tree. Every value stamps its key at both ends, so a probe that read a
+// torn, evicted or reused page shows as a stamp mismatch. A finger holds
+// exactly the path of its last probe: as many pins as a fresh descent to
+// that key takes, never more than the tree is deep.
+TEST(BPlusTreeFingerTest, FingersRaceWriterAndEvictionWithoutTornReads) {
+  constexpr uint32_t kPageSize = 256;
+  storage::InMemoryPageStore store(kPageSize);
+  storage::BufferPool pool(&store, 16);
+  // Retired pages are freed only once every reader is gone, standing in
+  // for the epoch manager's deferral.
+  std::vector<storage::PageId> retired;
+  auto tree = storage::BPlusTree::CreateCow(
+                  &pool, [&retired](storage::PageId id) {
+                    retired.push_back(id);
+                  })
+                  .value();
+  auto key = [](uint32_t k) {
+    std::string s;
+    PutKeyU32(&s, k);
+    return s;
+  };
+  auto value = [&key](uint32_t k, uint32_t version) {
+    std::string v = key(k);
+    PutKeyU32(&v, version);
+    return v + key(k);
+  };
+  auto stamped = [&key](const Slice& v, uint32_t k) {
+    const std::string want = key(k);
+    return v.size() == 12 && std::memcmp(v.data(), want.data(), 4) == 0 &&
+           std::memcmp(v.data() + 8, want.data(), 4) == 0;
+  };
+  // Keys below kStable are never deleted; the rest come and go.
+  constexpr uint32_t kStable = 1500;
+  constexpr uint32_t kKeys = 2000;
+  for (uint32_t k = 0; k < kStable; ++k) {
+    ASSERT_TRUE(tree->Put(key(k), value(k, 0)).ok());
+  }
+
+  std::mutex snap_mu;
+  storage::TreeSnapshot latest = tree->Seal();
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0}, missing{0}, overpinned{0};
+
+  const int kWriterIters = kTsanBuild ? 1500 : 15000;
+  std::thread writer([&] {
+    Random rng(17);
+    for (int i = 1; i <= kWriterIters; ++i) {
+      const auto k = static_cast<uint32_t>(rng.Uniform(kKeys));
+      // Non-fatal checks only: the readers spin until `done`.
+      if (k >= kStable && rng.OneIn(2)) {
+        Status st = tree->Delete(key(k));
+        EXPECT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
+      } else {
+        EXPECT_TRUE(tree->Put(key(k), value(k, i)).ok());
+      }
+      if (i % 8 == 0) {
+        const storage::TreeSnapshot snap = tree->Seal();
+        std::lock_guard<std::mutex> lock(snap_mu);
+        latest = snap;
+      }
+    }
+    done.store(true);
+  });
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      Random rng(100 + t);
+      while (!done.load()) {
+        storage::TreeSnapshot snap;
+        {
+          std::lock_guard<std::mutex> lock(snap_mu);
+          snap = latest;
+        }
+        // One finger per "query": a run of ascending keys, as a chunk's
+        // candidates arrive.
+        storage::BPlusTree::Finger finger(tree.get(), snap);
+        auto k = static_cast<uint32_t>(rng.Uniform(kKeys));
+        for (int j = 0; j < 48 && k < kKeys; ++j, k += 1 + rng.Uniform(9)) {
+          Slice v;
+          Status st = finger.Get(key(k), &v);
+          if (st.ok()) {
+            if (!stamped(v, k)) torn.fetch_add(1);
+          } else if (!st.IsNotFound() || k < kStable) {
+            missing.fetch_add(1);
+          }
+          storage::BPlusTree::Finger fresh(tree.get(), snap);
+          Slice ignored;
+          (void)fresh.Get(key(k), &ignored);
+          if (finger.pinned() != fresh.pinned()) overpinned.fetch_add(1);
+        }
+      }
+    });
+  }
+  writer.join();
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_EQ(missing.load(), 0);
+  EXPECT_EQ(overpinned.load(), 0);
+  EXPECT_GT(pool.stats().evictions, 0u);
+  // Every pin was returned: nothing stays resident after a cold flush.
+  ASSERT_TRUE(pool.EvictAll().ok());
+  EXPECT_EQ(pool.cached_pages(), 0u);
+  for (storage::PageId id : retired) ASSERT_TRUE(pool.FreePage(id).ok());
+}
+
+// --- QueryPool ----------------------------------------------------------
+
+// A scatter must not wait on tasks that sit queued behind another batch:
+// with the pool's only worker blocked inside one batch, a 3-task RunAll
+// from another caller runs all three tasks on that caller.
+TEST(QueryPoolTest, CallerRunsItsQueuedTasksWhileWorkersAreBusy) {
+  concurrency::QueryPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool worker_blocked = false;
+  bool release = false;
+  int ran = 0;
+
+  // The blocking task is the batch's first, so it is queued for the
+  // worker; the caller's own (last) task holds the caller until the
+  // worker has started it, so the caller cannot take it back.
+  std::thread blocker([&] {
+    pool.RunAll({[&] {
+                   std::unique_lock<std::mutex> lock(mu);
+                   worker_blocked = true;
+                   cv.notify_all();
+                   cv.wait(lock, [&] { return release; });
+                 },
+                 [&] {
+                   std::unique_lock<std::mutex> lock(mu);
+                   cv.wait(lock, [&] { return worker_blocked; });
+                 }});
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return worker_blocked; });
+  }
+
+  auto count = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    ++ran;
+    cv.notify_all();
+  };
+  std::thread scatter([&] { pool.RunAll({count, count, count}); });
+
+  bool all_ran;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    all_ran = cv.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return ran == 3; });
+    release = true;  // let the worker go either way, so threads join
+    cv.notify_all();
+  }
+  scatter.join();
+  blocker.join();
+  EXPECT_TRUE(all_ran) << "tasks run while the worker was blocked";
+  EXPECT_EQ(ran, 3);
 }
 
 }  // namespace

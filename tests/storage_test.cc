@@ -490,6 +490,153 @@ TEST_F(BPlusTreeTest, WorksUnderTinyBufferPool) {
   EXPECT_GT(small_pool.stats().evictions, 0u);
 }
 
+// --- B+-tree finger ----------------------------------------------------
+
+// A copy-on-write tree on 256-byte pages, deep enough that a finger's
+// fences matter at several levels. Retired pages are kept until the end,
+// so every sealed snapshot stays readable while the writer moves on.
+class BPlusTreeFingerTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    tree_ = BPlusTree::CreateCow(&pool_, [this](PageId id) {
+              retired_.push_back(id);
+            }).value();
+  }
+  void TearDown() override {
+    for (PageId id : retired_) EXPECT_TRUE(pool_.FreePage(id).ok());
+  }
+
+  static std::string Key(uint32_t k) {
+    std::string s;
+    PutKeyU32(&s, k);
+    return s;
+  }
+
+  // Probes `key` through `finger` and checks it against a fresh GetAt
+  // and the reference `model`.
+  void ExpectSame(BPlusTree::Finger* finger, const TreeSnapshot& snap,
+                  const std::map<std::string, std::string>& model,
+                  const std::string& key) {
+    Slice v;
+    Status st = finger->Get(key, &v);
+    std::string one_shot;
+    Status ref = tree_->GetAt(snap, key, &one_shot);
+    auto it = model.find(key);
+    if (it == model.end()) {
+      EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+      EXPECT_TRUE(ref.IsNotFound()) << ref.ToString();
+    } else {
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      ASSERT_TRUE(ref.ok()) << ref.ToString();
+      EXPECT_EQ(v.ToString(), it->second);
+      EXPECT_EQ(one_shot, it->second);
+    }
+  }
+
+  InMemoryPageStore store_{256};
+  BufferPool pool_{&store_, 100000};
+  std::vector<PageId> retired_;
+  std::unique_ptr<BPlusTree> tree_;
+};
+
+TEST_F(BPlusTreeFingerTest, MatchesGetAtOverKeyStreams) {
+  // Even keys in [100, 6100) are present; odd keys, keys below 100 and
+  // keys from 6100 up are absent.
+  std::map<std::string, std::string> model;
+  for (uint32_t k = 100; k < 6100; k += 2) {
+    const std::string v = "v" + std::to_string(k);
+    ASSERT_TRUE(tree_->Put(Key(k), v).ok());
+    model[Key(k)] = v;
+  }
+  const TreeSnapshot snap = tree_->Seal();
+  {
+    BPlusTree::Finger fresh(tree_.get(), snap);
+    Slice v;
+    ASSERT_TRUE(fresh.Get(Key(3000), &v).ok());
+    ASSERT_GE(fresh.pinned(), 3) << "the tree should be at least 3 deep";
+  }
+
+  std::vector<std::vector<uint32_t>> streams(4);
+  for (uint32_t k = 0; k < 6200; ++k) streams[0].push_back(k);  // ascending
+  for (uint32_t k = 6200; k-- > 0;) streams[1].push_back(k);     // descending
+  Random rng(31);
+  for (int i = 0; i < 6000; ++i) {                               // random
+    streams[2].push_back(static_cast<uint32_t>(rng.Uniform(6300)));
+  }
+  for (uint32_t k : {3000u, 3000u, 3001u, 3000u, 100u, 100u, 6098u, 6098u,
+                     99u, 0u, 0u, 6100u, 7000u, 7000u, 3000u}) {  // repeated
+    streams[3].push_back(k);
+  }
+  for (size_t s = 0; s < streams.size(); ++s) {
+    SCOPED_TRACE("stream " + std::to_string(s));
+    BPlusTree::Finger finger(tree_.get(), snap);
+    for (size_t i = 0; i < streams[s].size(); ++i) {
+      ExpectSame(&finger, snap, model, Key(streams[s][i]));
+      ASSERT_GE(finger.pinned(), 1);
+      if (i % 97 == 0) {
+        // Only pinned frames survive a cold flush: the finger holds
+        // exactly the pages of its last probe's path.
+        ASSERT_TRUE(pool_.EvictAll().ok());
+        EXPECT_EQ(pool_.cached_pages(), static_cast<uint64_t>(finger.pinned()));
+      }
+    }
+    // The empty key sorts below every entry.
+    ExpectSame(&finger, snap, model, "");
+    // A key longer than the 4-byte ones, above the last entry.
+    ExpectSame(&finger, snap, model, Key(0xFFFFFFFFu) + "x");
+  }
+}
+
+TEST_F(BPlusTreeFingerTest, EmptyAndInvalidSnapshotsReadEmpty) {
+  BPlusTree::Finger none(nullptr, TreeSnapshot());
+  Slice v;
+  EXPECT_TRUE(none.Get(Key(1), &v).IsNotFound());
+  EXPECT_EQ(none.pinned(), 0);
+  BPlusTree::Finger empty(tree_.get(), tree_->Seal());
+  EXPECT_TRUE(empty.Get(Key(1), &v).IsNotFound());
+  EXPECT_EQ(empty.pinned(), 1);  // the empty root leaf
+}
+
+TEST_F(BPlusTreeFingerTest, ProbesSealedSnapshotWhileWriterMutates) {
+  std::map<std::string, std::string> model;
+  Random rng(8);
+  for (int i = 0; i < 3000; ++i) {
+    const std::string k = Key(static_cast<uint32_t>(rng.Uniform(8000)));
+    ASSERT_TRUE(tree_->Put(k, "old" + k).ok());
+    model[k] = "old" + k;
+  }
+  const TreeSnapshot old_snap = tree_->Seal();
+  const std::map<std::string, std::string> old_model = model;
+  // Held across every mutation and seal below.
+  BPlusTree::Finger old_finger(tree_.get(), old_snap);
+
+  for (int round = 0; round < 60; ++round) {
+    // The writer overwrites, deletes and inserts, shadowing the paths
+    // the old finger may hold pinned, then seals a newer version.
+    for (int i = 0; i < 50; ++i) {
+      const std::string k = Key(static_cast<uint32_t>(rng.Uniform(8000)));
+      if (rng.OneIn(3)) {
+        Status st = tree_->Delete(k);
+        ASSERT_TRUE(st.ok() || st.IsNotFound()) << st.ToString();
+        model.erase(k);
+      } else {
+        const std::string v = "r" + std::to_string(round) + k;
+        ASSERT_TRUE(tree_->Put(k, v).ok());
+        model[k] = v;
+      }
+    }
+    const TreeSnapshot new_snap = tree_->Seal();
+    BPlusTree::Finger new_finger(tree_.get(), new_snap);
+    // A run of ascending keys on both versions.
+    auto k = static_cast<uint32_t>(rng.Uniform(8000));
+    for (int j = 0; j < 40; ++j) {
+      ExpectSame(&old_finger, old_snap, old_model, Key(k));
+      ExpectSame(&new_finger, new_snap, model, Key(k));
+      k += 1 + static_cast<uint32_t>(rng.Uniform(30));
+    }
+  }
+}
+
 // --- blob store ---------------------------------------------------------
 
 class BlobStoreTest : public ::testing::Test {
